@@ -17,6 +17,7 @@ No floating point anywhere; equality is exact identity of canonical forms.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -369,6 +370,188 @@ def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+# -- packed kernel ----------------------------------------------------
+#
+# XPoly arithmetic runs on flat dicts {key: coefficient}.  A key packs one
+# (x-monomial, p-exponent) pair into an int: the p-exponent sits in the
+# lowest field, stored signed (biased by half the field), and the exponent
+# of x_i in field i + 1.  Every field is `width` bits wide, and each
+# operation sizes the width from its operands so that no field of any
+# result can carry into its neighbour.  Adding two keys then multiplies the
+# monomials, adding a key shifts by a monomial (p^k is the key k), and
+# comparing keys is a monomial order: lex on x_{n-1} .. x_0, then p.  The
+# top bit of every x field stays clear; division uses it as a guard bit.
+# A coefficient is an int when it is integral and a Fraction otherwise.
+
+
+def _width(xdeg: int, pabs: int) -> int:
+    """Field width for x-exponents up to xdeg and p-exponents in [-pabs, pabs]."""
+    return max(xdeg, pabs).bit_length() + 1
+
+
+def _bounds(polys: Iterable["XPoly"]) -> tuple[int, int]:
+    """Largest x-exponent and largest |p-exponent| over the terms of polys."""
+    xdeg = pabs = 0
+    for a in polys:
+        if a.terms:
+            if a.nvars:
+                xdeg = max(xdeg, max(map(max, a.terms)))
+            pes = [pe for c in a.terms.values() for pe in c.terms]
+            pabs = max(pabs, max(pes), -min(pes))
+    return xdeg, pabs
+
+
+def _key(exps: tuple, width: int, pe: int = 0) -> int:
+    """Packed key of x^exps * p^pe."""
+    x = 0
+    for k in reversed(exps):
+        x = (x | k) << width
+    return x + pe
+
+
+def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
+    """Packed terms of a, multiplied by the monomial whose key is offset."""
+    out = {}
+    for e, c in a.terms.items():
+        x = _key(e, width, offset)
+        for pe, f in c.terms.items():
+            out[x + pe] = f.numerator if f.denominator == 1 else f
+    return out
+
+
+def _unpack(packed: dict, nvars: int, width: int) -> "XPoly":
+    """The XPoly of a packed dict; zero coefficients are dropped."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    laurents: dict[int, dict] = {}
+    for key, c in packed.items():
+        if c:
+            pe = ((key + half) & mask) - half
+            x = (key - pe) >> width
+            g = laurents.get(x)
+            if g is None:
+                laurents[x] = g = {}
+            g[pe] = c if type(c) is Fraction else Fraction(c)
+    terms = {}
+    for x, g in laurents.items():
+        e = []
+        for _ in range(nvars):
+            e.append(x & mask)
+            x >>= width
+        c = PrimeLaurent.__new__(PrimeLaurent)
+        c.terms = g
+        terms[tuple(e)] = c
+    out = XPoly.__new__(XPoly)
+    out.nvars = nvars
+    out.terms = terms
+    return out
+
+
+def _extent(packed: dict, nvars: int, width: int) -> tuple[list, int, int]:
+    """Per-variable largest x-exponent and the p-exponent range of a nonempty packed dict."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    pes = [((key + half) & mask) - half for key in packed]
+    degs = [0] * nvars
+    for x in {key - pe for key, pe in zip(packed, pes)}:
+        x >>= width
+        for i in range(nvars):
+            f = x & mask
+            if f > degs[i]:
+                degs[i] = f
+            x >>= width
+    return degs, min(pes), max(pes)
+
+
+def _add_into(acc: dict, b: dict, scale=1, offset: int = 0) -> None:
+    """acc += scale * b * (the monomial whose key is offset); zeros may remain in acc."""
+    get = acc.get
+    for k, c in b.items():
+        k += offset
+        acc[k] = get(k, 0) + scale * c
+
+
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b; zeros may remain in acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    items = b.items()
+    for ka, ca in a.items():
+        for kb, cb in items:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _cdiv(a, b):
+    """Exact rational a / b, as an int when integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _div_packed(a: dict, b: dict, nvars: int, width: int) -> dict:
+    """Exact quotient of packed a by packed b (b has no zero coefficients).
+
+    Heap-driven division in the packed order: the largest remainder key is
+    divided by the largest key of b until the remainder is empty.  An exact
+    quotient has x-degrees deg(a) - deg(b) per variable and p-exponents in
+    [min_p(a) - min_p(b), max_p(a) - max_p(b)]; a quotient term outside that
+    box raises NotDivisible, so every input terminates.  The width must
+    also fit p-exponents up to the sum of the largest |p-exponent| of a and b.
+    """
+    rem = {k: c for k, c in a.items() if c}
+    if not rem:
+        return {}
+    da, alo, ahi = _extent(rem, nvars, width)
+    db, blo, bhi = _extent(b, nvars, width)
+    qmax = [x - y for x, y in zip(da, db)]
+    qlo, qhi = alo - blo, ahi - bhi
+    if qlo > qhi or min(qmax, default=0) < 0:
+        raise NotDivisible("degree bounds admit no exact quotient")
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    # guard: the top bit of every x field; slack pushes a field above its
+    # quotient bound into that bit
+    guard = _key((half,) * nvars, width)
+    slack = _key(tuple(half - 1 - m for m in qmax), width)
+    lead = max(b)
+    lc = b[lead]
+    lead_pe = ((lead + half) & mask) - half
+    lead_x = lead - lead_pe
+    rest = [(k - lead, c) for k, c in b.items() if k != lead]
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue  # cancelled after it was queued
+        pe = ((k + half) & mask) - half
+        qpe = pe - lead_pe
+        t = k - pe + guard - lead_x
+        if t & guard != guard:
+            raise NotDivisible("leading monomial not divisible")
+        qx = t - guard
+        if (qx + slack) & guard or not qlo <= qpe <= qhi:
+            raise NotDivisible("quotient term outside the degree bounds")
+        q = _cdiv(c, lc)
+        quot[qx + qpe] = q
+        for dk, cb in rest:
+            kk = k + dk
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = -q * cb
+                heapq.heappush(heap, -kk)
+            else:
+                s = old - q * cb
+                if s:
+                    rem[kk] = s
+                else:
+                    del rem[kk]
+    return quot
+
+
 class XPoly:
     """Sparse polynomial in x0..x_{nvars-1} with PrimeLaurent coefficients."""
 
@@ -382,6 +565,8 @@ class XPoly:
                 e = tuple(int(v) for v in e)
                 if len(e) != nvars:
                     raise VarMismatch(f"exponent vector {e} has wrong length for nvars={nvars}")
+                if min(e, default=0) < 0:
+                    raise VarMismatch(f"exponent vector {e} has a negative exponent")
                 c = PrimeLaurent._coerce(c)
                 if not c.is_zero():
                     clean[e] = c
@@ -443,15 +628,7 @@ class XPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return self._raw(res)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -462,33 +639,27 @@ class XPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
+    def _combine(self, other: "XPoly", scale: int) -> "XPoly":
+        """self + scale * other."""
+        width = _width(*_bounds((self, other)))
+        acc = _pack(self, width)
+        _add_into(acc, _pack(other, width), scale)
+        return _unpack(acc, self.nvars, width)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PrimeLaurent)):
-            c0 = PrimeLaurent._coerce(other)
-            if c0.is_zero():
-                return self._raw({})
-            return self._raw({e: c * c0 for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res: dict[tuple, PrimeLaurent] = {}
-        bterms = other.terms
-        for e1, c1 in self.terms.items():
-            for e2, c2 in bterms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = res.get(e)
-                s = c if s is None else s + c
-                if s.terms:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return self._raw(res)
+        (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
+        width = _width(xa + xb, pa + pb)
+        acc: dict = {}
+        _mul_into(acc, _pack(self, width), _pack(other, width))
+        return _unpack(acc, self.nvars, width)
 
     __rmul__ = __mul__
 
@@ -509,25 +680,10 @@ class XPoly:
         other = self._coerce(other)
         if other.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        quot: dict[tuple, PrimeLaurent] = {}
-        rem = dict(self.terms)
-        lead_b = max(other.terms, key=_grlex_key)
-        lc_b = other.terms[lead_b]
-        while rem:
-            lead_r = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(lead_r, lead_b))
-            if any(d < 0 for d in diff):
-                raise NotDivisible("leading monomial not divisible")
-            c = rem[lead_r].div_exact(lc_b)
-            quot[diff] = c
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(diff, e2))
-                s = rem.get(e, PL_ZERO) - c * c2
-                if s.terms:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return self._raw(quot)
+        (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
+        width = _width(max(xa, xb), pa + pb)
+        quot = _div_packed(_pack(self, width), _pack(other, width), self.nvars, width)
+        return _unpack(quot, self.nvars, width)
 
     def substitute(self, assignment: Mapping[int, Union["XPoly", Scalar]]) -> "XPoly":
         """Ring-homomorphism image under variable -> polynomial assignment.
@@ -543,25 +699,40 @@ class XPoly:
                 images[i] = val
             else:
                 images[i] = XPoly.constant(self.nvars, val)
-        power_cache: dict[tuple[int, int], XPoly] = {}
+        bounds = {i: _bounds((img,)) for i, img in images.items()}
+        xdeg = pabs = 0
+        for e, c in self.terms.items():
+            x, pe = 0, max(max(c.terms), -min(c.terms))
+            for i, k in enumerate(e):
+                if k:
+                    if i not in images:
+                        raise UnassignedVariable(f"variable x{i} is not assigned")
+                    x += k * bounds[i][0]
+                    pe += k * bounds[i][1]
+            xdeg, pabs = max(xdeg, x), max(pabs, pe)
+        width = _width(xdeg, pabs)
+        powers: dict[tuple[int, int], dict] = {}
 
         def power(i, k):
-            key = (i, k)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** k
-            return power_cache[key]
+            if (i, k) not in powers:
+                if k == 1:
+                    powers[i, k] = _pack(images[i], width)
+                else:
+                    powers[i, k] = acc = {}
+                    _mul_into(acc, power(i, k - 1), power(i, 1))
+            return powers[i, k]
 
-        result = XPoly(self.nvars)
+        one = (0,) * self.nvars
+        result: dict = {}
         for e, c in self.terms.items():
-            mono = XPoly.constant(self.nvars, c)
+            mono = _pack(self._raw({one: c}), width)
             for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if i not in images:
-                    raise UnassignedVariable(f"variable x{i} is not assigned")
-                mono = mono * power(i, k)
-            result = result + mono
-        return result
+                if k:
+                    prod: dict = {}
+                    _mul_into(prod, mono, power(i, k))
+                    mono = prod
+            _add_into(result, mono)
+        return _unpack(result, self.nvars, width)
 
     def permute(self, perm: tuple) -> "XPoly":
         """Relabel variables: index i becomes perm[i] (length nvars)."""
@@ -635,6 +806,8 @@ class VSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[XPoly]):
+        if order < 0:
+            raise ValueError(f"series order must be >= 0, got {order}")
         coeffs = list(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
@@ -675,29 +848,37 @@ class VSeries:
         if self.nvars != other.nvars:
             raise VarMismatch("series over different nvars")
         n = min(self.order, other.order)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        (xa, pa), (xb, pb) = _bounds(a), _bounds(b)
+        width = _width(xa + xb, pa + pb)
+        a = [_pack(c, width) for c in a]
+        b = [_pack(c, width) for c in b]
         out = []
         for k in range(n + 1):
-            acc = XPoly(self.nvars)
+            acc: dict = {}
             for i in range(k + 1):
-                a, b = self.coeffs[i], other.coeffs[k - i]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
+                if a[i] and b[k - i]:
+                    _mul_into(acc, a[i], b[k - i])
+            out.append(_unpack(acc, self.nvars, width))
         return VSeries(n, out)
 
     def recip(self) -> "VSeries":
         """Multiplicative inverse mod v^(order+1); constant term must be 1."""
         if not self.coeffs[0].is_one():
             raise NonUnitConstantTerm("series constant term is not 1")
-        inv = [XPoly.constant(self.nvars, 1)]
+        # the v^k coefficient of the inverse is a sum of products of at most
+        # k coefficients of self
+        xdeg, pabs = _bounds(self.coeffs)
+        width = _width(self.order * xdeg, self.order * pabs)
+        a = [_pack(c, width) for c in self.coeffs]
+        inv = [{0: 1}]
         for k in range(1, self.order + 1):
-            acc = XPoly(self.nvars)
+            acc: dict = {}
             for j in range(1, k + 1):
-                a = self.coeffs[j] if j <= self.order else None
-                if a is not None and a.terms and inv[k - j].terms:
-                    acc = acc + a * inv[k - j]
-            inv.append(-acc)
-        return VSeries(self.order, inv)
+                if a[j] and inv[k - j]:
+                    _mul_into(acc, a[j], inv[k - j])
+            inv.append({key: -c for key, c in acc.items() if c})
+        return VSeries(self.order, [_unpack(c, self.nvars, width) for c in inv])
 
     def truncate(self, order: int) -> "VSeries":
         if order >= self.order:

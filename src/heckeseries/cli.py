@@ -16,6 +16,7 @@ from .render import (
 )
 from .series import (
     DEFAULT_ORDER,
+    SERIES_ORDER_BOUND,
     functional_eq_check,
     hecke_image,
     p3_in_generators,
@@ -44,6 +45,16 @@ def _parse_lambda(text: str, n: int = 3):
         raise argparse.ArgumentTypeError(f"lambda needs {n} non-negative parts")
     # omega depends only on the multiset; accept any order
     return tuple(sorted(parts, reverse=True))
+
+
+def _parse_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad order {text!r}; expected an integer")
+    if not 0 <= order <= SERIES_ORDER_BOUND:
+        raise argparse.ArgumentTypeError(f"order must be between 0 and {SERIES_ORDER_BOUND}")
+    return order
 
 
 def _render_xpoly(a: XPoly, fmt: str) -> str:
@@ -94,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("series", help="truncated generating series R_n")
     s.add_argument("--genus", type=int, default=3, choices=(1, 2, 3))
-    s.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    s.add_argument("--order", type=_parse_order, default=DEFAULT_ORDER)
 
     s = sub.add_parser("numerator", help="numerator polynomial P_n")
     s.add_argument("--genus", type=int, default=3, choices=(1, 2, 3))

@@ -46,7 +46,7 @@ class UnsupportedRank(HeckeError):
 
 
 class EnumerationTooLarge(HeckeError):
-    """Coset enumeration would exceed the candidate bound."""
+    """A computation would exceed its size bound (coset candidates, series order)."""
 
 
 class NonVanishingTail(HeckeError):

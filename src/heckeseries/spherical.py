@@ -20,7 +20,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .algebra import PL_ONE, PrimeLaurent, XPoly
+from .algebra import (
+    PL_ONE,
+    PrimeLaurent,
+    XPoly,
+    _add_into,
+    _bounds,
+    _div_packed,
+    _pack,
+    _unpack,
+    _width,
+)
 from .errors import EnumerationTooLarge, IndexOutOfRange, UnsupportedRank
 from .symmetric import check_signature, elem, msym
 
@@ -69,6 +79,7 @@ def _sgn(perm: tuple) -> int:
     return -1 if inv & 1 else 1
 
 
+@lru_cache(maxsize=None)
 def _vandermonde(n: int) -> XPoly:
     acc = XPoly.constant(n + 1, 1)
     for i in range(1, n + 1):
@@ -77,6 +88,7 @@ def _vandermonde(n: int) -> XPoly:
     return acc
 
 
+@lru_cache(maxsize=None)
 def _deformed_product(n: int) -> XPoly:
     """prod_{1 <= i < j <= n} (x_i - x_j / p)."""
     inv_p = PrimeLaurent.p_power(-1)
@@ -110,19 +122,18 @@ def omega_hl(lam: tuple, n: int) -> XPoly:
     lam = check_signature(lam, n)
     nv = n + 1
     core = XPoly.monomial(nv, (0,) + lam) * _deformed_product(n)
-    total = XPoly(nv)
-    for w in permutations(range(1, n + 1)):
-        perm = (0,) + w
-        img = core.permute(perm)
-        total = total + (img if _sgn(w) == 1 else -img)
-    quot = total.div_exact(_vandermonde(n))
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    norm = _multiplicity_norm(lam, n)
-    prefactor = PrimeLaurent.p_power(-weight)
-    # the normalized result is always Laurent; divide coefficient-wise
-    return XPoly(
-        nv, {e: (c * prefactor).div_exact(norm) for e, c in quot.terms.items()}
-    )
+    norm = XPoly.constant(nv, _multiplicity_norm(lam, n))
+    xdeg, pabs = _bounds((core, norm))
+    # the width also fits the quotient's p-range after the p^(-weight) shift
+    width = _width(xdeg, 2 * pabs + weight)
+    total: dict = {}
+    for w in permutations(range(1, n + 1)):
+        _add_into(total, _pack(core.permute((0,) + w), width), _sgn(w))
+    quot = _div_packed(total, _pack(_vandermonde(n), width), nv, width)
+    shifted = {k - weight: c for k, c in quot.items()}
+    # the normalized result is always Laurent
+    return _unpack(_div_packed(shifted, _pack(norm, width), nv, width), nv, width)
 
 
 def omega_pi(i: int, n: int) -> XPoly:

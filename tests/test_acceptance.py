@@ -1,8 +1,8 @@
 """Acceptance gate: one pass/fail line per criterion.
 
-Each test runs the corresponding end-to-end check from the verify module
-and prints a single [PASS]/[FAIL] line so the suite output doubles as a
-verification report.
+Each test runs one end-to-end check from ``verify.ALL_CHECKS``, the list
+``verify-all`` runs, and prints a single [PASS]/[FAIL] line so the suite
+output doubles as a verification report.
 """
 
 import time
@@ -11,24 +11,26 @@ import pytest
 
 from heckeseries import verify
 
-CRITERIA = [
-    ("1. golden omega table (28 values)", verify.check_golden_table, 5.0),
-    ("2. coset-enumeration oracle equivalence", verify.check_oracle_equivalence, 60.0),
-    ("3. symplectic generator images", verify.check_sp_images, None),
-    ("4. genus-3 numerator identity (both routes)", verify.check_numerator_identity, None),
-    ("5. low-genus numerators", verify.check_low_genus, None),
-    ("6. numerator over the Hecke ring", verify.check_theorem1, None),
-    ("7. indeterminate-coefficient K table", verify.check_k_table, None),
-    ("8. functional equation / denominator", verify.check_functional_equation, None),
-    ("9. degree specialization", verify.check_specialization, None),
-    ("10. property suites", verify.check_properties, None),
-]
+#: time budgets in seconds, by check name.  The genus-3 numerator identity
+#: took 1.6-2.1 s cold on a 2-vCPU Xeon (Python 3.11.7); its budget leaves
+#: room for the host's 1.8x speed swings.
+BUDGETS = {
+    "golden omega table (28 values)": 5.0,
+    "coset-enumeration oracle equivalence": 60.0,
+    "genus-3 numerator identity": 6.0,
+}
+
+
+def test_budgets_name_checks():
+    assert set(BUDGETS) <= {name for name, _ in verify.ALL_CHECKS}
 
 
 @pytest.mark.parametrize(
-    "name,check,budget", CRITERIA, ids=[c[0].split(".")[0] for c in CRITERIA]
+    "index,name,check",
+    [(i, name, check) for i, (name, check) in enumerate(verify.ALL_CHECKS, start=1)],
+    ids=[str(i) for i in range(1, len(verify.ALL_CHECKS) + 1)],
 )
-def test_criterion(name, check, budget, capsys):
+def test_criterion(index, name, check, capsys):
     start = time.time()
     try:
         ok, detail = check()
@@ -36,7 +38,8 @@ def test_criterion(name, check, budget, capsys):
         ok, detail = False, f"{type(exc).__name__}: {exc}"
     elapsed = time.time() - start
     with capsys.disabled():
-        print(f"[{'PASS' if ok else 'FAIL'}] criterion {name}: {detail} ({elapsed:.2f}s)")
+        print(f"[{'PASS' if ok else 'FAIL'}] criterion {index}. {name}: {detail} ({elapsed:.2f}s)")
     assert ok, f"criterion {name}: {detail}"
+    budget = BUDGETS.get(name)
     if budget is not None:
         assert elapsed < budget, f"criterion {name} took {elapsed:.2f}s (budget {budget}s)"

@@ -167,6 +167,24 @@ class TestXPoly:
         with pytest.raises(VarMismatch):
             XPoly.variable(2, 0) + XPoly.variable(3, 0)
 
+    def test_negative_exponent_raises(self):
+        with pytest.raises(VarMismatch):
+            XPoly(4, {(-1, 0, 0, 0): 1})
+
+    def test_large_exponents(self):
+        big = XPoly.monomial(1, (70000,))
+        assert big * big == XPoly.monomial(1, (140000,))
+        assert (big * big).div_exact(big) == big
+        mixed = XPoly(2, {(70000, 0): PrimeLaurent.p_power(-90000), (0, 3): 1})
+        assert mixed * mixed == XPoly(
+            2,
+            {
+                (140000, 0): PrimeLaurent.p_power(-180000),
+                (70000, 3): PrimeLaurent.p_power(-90000) * 2,
+                (0, 6): 1,
+            },
+        )
+
     def test_substitute_degree_map(self):
         # sym_{1,1,0} at x_i -> p^i gives p^3 + p^4 + p^5
         a = XPoly(4, {(0, 1, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 1, 1): 1})

@@ -6,6 +6,7 @@ import pytest
 
 from heckeseries.algebra import XPoly
 from heckeseries.cli import run
+from heckeseries.series import SERIES_ORDER_BOUND
 from heckeseries.spherical import omega_hl
 
 
@@ -80,6 +81,18 @@ class TestOtherCommands:
         code, out = invoke(capsys, ["series", "--genus", "1", "--order", "2"])
         assert code == 0
         assert out.startswith("v^0: 1\n")
+
+    @pytest.mark.parametrize("order", ["-1", str(SERIES_ORDER_BOUND + 1), "many"])
+    def test_series_order_out_of_range_rejected(self, order, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["series", "--order", order])
+        assert exc.value.code == 2
+        assert "order" in capsys.readouterr().err
+
+    def test_series_order_zero(self, capsys):
+        code, out = invoke(capsys, ["series", "--genus", "2", "--order", "0"])
+        assert code == 0
+        assert out == "v^0: 1\n"
 
     def test_numerator_genus2(self, capsys):
         code, out = invoke(capsys, ["numerator", "--genus", "2"])

@@ -4,9 +4,10 @@ polynomials over the Hecke ring, and the indeterminate-coefficient solve."""
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
-from heckeseries.errors import NoSolution, NotSymmetric
+from heckeseries.errors import EnumerationTooLarge, NoSolution, NotSymmetric
 from heckeseries.series import (
     DEFAULT_ORDER,
+    SERIES_ORDER_BOUND,
     HeckeExpr,
     P_BRACKET,
     QCoefficients,
@@ -54,6 +55,17 @@ class TestRSeries:
     def test_bad_genus(self):
         with pytest.raises(ValueError):
             r_series(4, 6)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            r_series(3, -1)
+        with pytest.raises(ValueError):
+            VSeries(-1, [])
+
+    def test_order_bound(self):
+        assert r_series(1, SERIES_ORDER_BOUND).order == SERIES_ORDER_BOUND
+        with pytest.raises(EnumerationTooLarge):
+            r_series(3, SERIES_ORDER_BOUND + 1)
 
 
 class TestQPoly:
