@@ -2,7 +2,7 @@
 Hecke series: spherical-map images, the generating series, and the
 numerator/denominator polynomials over the Hecke ring."""
 
-from .algebra import PrimeLaurent, PrimeRat, VSeries, XPoly, p
+from .algebra import PrimeLaurent, VSeries, XPoly, p
 from .series import (
     HeckeExpr,
     QCoefficients,

@@ -1,13 +1,10 @@
 """Exact arithmetic foundation.
 
-Everything downstream is built on four immutable value types:
+Everything downstream is built on three immutable value types:
 
 * ``PrimeLaurent`` -- Laurent polynomial in the formal prime ``p`` with
   exact rational coefficients.  This is the coefficient ring of the whole
   project; negative ``p``-exponents are first class.
-* ``PrimeRat`` -- quotient of two ``PrimeLaurent`` values, kept in reduced
-  canonical form.  Used as an intermediate only (linear solves, the
-  multiplicity normalization); public results are always Laurent.
 * ``XPoly`` -- sparse multivariate polynomial in the Satake parameters
   ``x0 .. x_{nvars-1}`` over ``PrimeLaurent``.
 * ``VSeries`` -- truncated power series in ``v`` with ``XPoly`` coefficients.
@@ -25,7 +22,6 @@ from .errors import (
     DivisionByZero,
     NonUnitConstantTerm,
     NotDivisible,
-    NotLaurent,
     UnassignedVariable,
     VarMismatch,
 )
@@ -133,7 +129,7 @@ class PrimeLaurent:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("use PrimeRat for negative powers of a polynomial")
+            raise ValueError("negative power of a Laurent polynomial")
         result = PL_ONE
         base = self
         while k:
@@ -150,13 +146,15 @@ class PrimeLaurent:
             raise DivisionByZero("division by zero Laurent polynomial")
         if self.is_zero():
             return PL_ZERO
-        sa, sb = self.min_exp(), other.min_exp()
-        da = _dense(self, sa)
-        db = _dense(other, sb)
-        q, r = _poly_divmod(da, db)
-        if any(r):
-            raise NotDivisible(f"{self} is not divisible by {other}")
-        return _from_dense(q, sa - sb)
+        # keys of the packed kernel with no x-variables: the p-exponent alone
+        a, b = _pack_laurent(self), _pack_laurent(other)
+        width = _width(0, max(map(abs, a)) + max(map(abs, b)))
+        out = PrimeLaurent.__new__(PrimeLaurent)
+        out.terms = {
+            e: c if type(c) is Fraction else Fraction(c)
+            for e, c in _div_packed(a, b, 0, width).items()
+        }
+        return out
 
     def evaluate(self, value) -> Fraction:
         """Specialize p to a concrete rational value."""
@@ -211,161 +209,6 @@ def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _dense(a: PrimeLaurent, shift: int) -> list[Fraction]:
-    """Coefficient list of a * p^(-shift), constant term first."""
-    deg = a.max_exp() - shift
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in a.terms.items():
-        out[e - shift] = c
-    return out
-
-
-def _from_dense(coeffs: Iterable[Fraction], shift: int) -> PrimeLaurent:
-    return PrimeLaurent({i + shift: c for i, c in enumerate(coeffs) if c})
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Dense univariate division over Q; returns (quotient, remainder)."""
-    while b and not b[-1]:
-        b = b[:-1]
-    r = list(a)
-    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(r) - len(b), -1, -1):
-        c = r[i + len(b) - 1] / lead
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                r[i + j] -= c * bc
-    return q, r
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q, dense lists (constant term first)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    while a and not a[-1]:
-        a.pop()
-    if not a:
-        return [Fraction(0)]
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-class PrimeRat:
-    """Reduced quotient of two Laurent polynomials in p.
-
-    The denominator is stored as an ordinary polynomial (no negative
-    exponents, nonzero constant term unless trivial) with leading
-    coefficient 1; the gcd of numerator and denominator is divided out.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: PrimeLaurent, den: PrimeLaurent = PL_ONE):
-        num = PrimeLaurent._coerce(num)
-        den = PrimeLaurent._coerce(den)
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            self.num, self.den = PL_ZERO, PL_ONE
-            return
-        shift = min(num.min_exp(), den.min_exp())
-        dn = _dense(num, shift)
-        dd = _dense(den, shift)
-        g = _poly_gcd(dn, dd)
-        if len(g) > 1 or g[0] != 1:
-            dn, _ = _poly_divmod(dn, g)
-            dd, _ = _poly_divmod(dd, g)
-        while len(dd) > 1 and not dd[-1]:
-            dd.pop()
-        # clear a residual p^k common factor, then put it on the numerator
-        k = 0
-        while not dd[k]:
-            k += 1
-        lead = dd[-1]
-        self.den = _from_dense([c / lead for c in dd[k:]], 0)
-        self.num = _from_dense([c / lead for c in dn], -k)
-
-    @staticmethod
-    def _coerce(other) -> "PrimeRat":
-        if isinstance(other, PrimeRat):
-            return other
-        if isinstance(other, (int, Fraction, PrimeLaurent)):
-            return PrimeRat(PrimeLaurent._coerce(other))
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = PrimeRat.__new__(PrimeRat)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return PrimeRat(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def to_laurent(self) -> PrimeLaurent:
-        """Collapse to a Laurent polynomial; raises NotLaurent otherwise."""
-        try:
-            return self.num.div_exact(self.den)
-        except NotDivisible as exc:
-            raise NotLaurent(f"({self.num})/({self.den}) is not Laurent in p") from exc
-
-    def __repr__(self):
-        if self.den.is_one():
-            return repr(self.num)
-        return f"({self.num})/({self.den})"
-
-
 def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
@@ -407,6 +250,11 @@ def _key(exps: tuple, width: int, pe: int = 0) -> int:
     for k in reversed(exps):
         x = (x | k) << width
     return x + pe
+
+
+def _pack_laurent(c: PrimeLaurent) -> dict:
+    """The terms of c with integral coefficients as ints."""
+    return {pe: f.numerator if f.denominator == 1 else f for pe, f in c.terms.items()}
 
 
 def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
@@ -606,12 +454,6 @@ class XPoly:
     def sorted_terms(self):
         """Terms in the canonical graded-lex-descending order."""
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def leading(self):
-        return max(self.terms, key=_grlex_key)
-
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
 
     # -- arithmetic ---------------------------------------------------
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from .algebra import VSeries, XPoly
+from .errors import EnumerationTooLarge
 from .golden import golden_order
 from .render import (
     hecke_series_text,
@@ -18,7 +20,6 @@ from .series import (
     DEFAULT_ORDER,
     SERIES_ORDER_BOUND,
     functional_eq_check,
-    hecke_image,
     p3_in_generators,
     p_numerator,
     q3_in_generators,
@@ -33,7 +34,10 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .verify import run_all
+from .verify import image_mismatch, run_all
+
+#: largest prime accepted by --prime
+PRIME_BOUND = 10**6
 
 
 def _parse_lambda(text: str, n: int = 3):
@@ -55,6 +59,18 @@ def _parse_order(text: str) -> int:
     if not 0 <= order <= SERIES_ORDER_BOUND:
         raise argparse.ArgumentTypeError(f"order must be between 0 and {SERIES_ORDER_BOUND}")
     return order
+
+
+def _parse_prime(text: str) -> int:
+    try:
+        prime = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad prime {text!r}; expected an integer")
+    if not 2 <= prime <= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(f"prime must be between 2 and {PRIME_BOUND}")
+    if any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+        raise argparse.ArgumentTypeError(f"{prime} is not prime")
+    return prime
 
 
 def _render_xpoly(a: XPoly, fmt: str) -> str:
@@ -93,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("omega", help="spherical-map value of t(p^lambda)")
     s.add_argument("--lambda", dest="lam", required=True, type=_parse_lambda)
-    s.add_argument("--prime", type=int, help="concrete prime for the coset oracle")
+    s.add_argument("--prime", type=_parse_prime, help="concrete prime for the coset oracle")
     s.add_argument(
         "--oracle",
         action="store_true",
@@ -120,6 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run_command(parser, args)
+    except (EnumerationTooLarge, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fmt = args.format
     lines: list[str] = []
 
@@ -172,8 +196,7 @@ def run(argv=None) -> int:
 
     elif args.command == "theorem1":
         coeffs = p3_in_generators()
-        num = p_numerator(3, DEFAULT_ORDER)
-        ok = all(hecke_image(e) == num.coeffs[k] for k, e in enumerate(coeffs))
+        ok = image_mismatch(coeffs, p_numerator(3, DEFAULT_ORDER)) is None
         if fmt == "json":
             lines.append(json.dumps({"P3": [e.to_json() for e in coeffs], "verified": ok}))
         else:
@@ -186,8 +209,7 @@ def run(argv=None) -> int:
     elif args.command == "theorem2":
         qc = q3_in_generators()
         feq = functional_eq_check(qc)
-        q = q_poly(3)
-        images_ok = all(hecke_image(qc.t[k]) == q.coeffs[k] for k in range(9))
+        images_ok = image_mismatch(qc.t, q_poly(3)) is None
         if fmt == "json":
             lines.append(
                 json.dumps(

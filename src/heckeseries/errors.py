@@ -10,7 +10,7 @@ class NotDivisible(HeckeError):
 
 
 class NotLaurent(HeckeError):
-    """A rational function in p failed to clear its denominator."""
+    """A quantity that must be a Laurent polynomial in p is not one."""
 
 
 class DivisionByZero(HeckeError):

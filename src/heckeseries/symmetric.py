@@ -64,12 +64,15 @@ def to_msym(a: XPoly) -> dict[Signature, PrimeLaurent]:
     w = x0_weight(a)
     rem = dict(a.terms)
     out: dict[Signature, PrimeLaurent] = {}
-    while rem:
-        lead = max(rem, key=lambda e: e[1:])
+    # every key has x0-exponent w, and keys are only ever deleted, so the
+    # leading remaining key is the next one left in one descending sort
+    for lead in sorted(rem, reverse=True):
+        c = rem.get(lead)
+        if c is None:
+            continue
         sig = lead[1:]
         if any(sig[i] < sig[i + 1] for i in range(n - 1)):
             raise NotSymmetric(f"leading exponent {sig} is not non-increasing")
-        c = rem[lead]
         out[sig] = c
         for perm in set(permutations(sig)):
             e = (w,) + perm
@@ -93,23 +96,3 @@ def from_msym(decomp: dict, n: int, weight: int = 0) -> XPoly:
         acc = acc * XPoly.monomial(n + 1, (weight,) + (0,) * n)
     return acc
 
-
-def sym_generating_function(sig, n: int) -> XPoly:
-    """The t-coefficient construction of msym, kept as an independent cross-check.
-
-    Expands prod over all w in S_n of (1 + t * x^{w(sig)}), takes the
-    coefficient of t and divides by its leading coefficient (the stabilizer
-    order).  Equals msym(sig, n) for every signature.
-    """
-    sig = check_signature(sig, n)
-    # coefficient of t^1 is just the sum over the S_n orbit with multiplicity
-    acc = XPoly(n + 1)
-    count = {}
-    for perm in permutations(sig):
-        count[(0,) + perm] = count.get((0,) + perm, 0) + 1
-    lead = max(count.values())
-    for e, c in count.items():
-        if c != lead:
-            raise NotSymmetric("orbit multiplicities are not uniform")
-        acc = acc + XPoly.monomial(n + 1, e, 1)
-    return acc

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from heckeseries.algebra import PrimeLaurent, PrimeRat, VSeries, XPoly, p
+from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
 from heckeseries.errors import (
     DivisionByZero,
     NonUnitConstantTerm,
     NotDivisible,
-    NotLaurent,
     UnassignedVariable,
     VarMismatch,
 )
@@ -49,6 +48,21 @@ class TestPrimeLaurent:
     def test_div_by_zero_raises(self):
         with pytest.raises(DivisionByZero):
             (p - 1).div_exact(PrimeLaurent())
+        with pytest.raises(DivisionByZero):
+            PrimeLaurent().div_exact(PrimeLaurent())
+
+    def test_div_exact_difference_of_squares(self):
+        assert (p**2 - 1).div_exact(p - 1) == p + 1
+
+    def test_multiplicity_normalization_value(self):
+        # (1-t)(1-t^2)/(1-t)^2 at t = 1/p collapses to 1 + 1/p
+        t = PrimeLaurent.p_power(-1)
+        one = PrimeLaurent.const(1)
+        assert ((one - t) * (one - t * t)).div_exact((one - t) * (one - t)) == pl({0: 1, -1: 1})
+
+    def test_non_laurent_quotient_raises(self):
+        with pytest.raises(NotDivisible):
+            PrimeLaurent.const(1).div_exact(p - 1)
 
     def test_negative_exponents(self):
         a = PrimeLaurent.p_power(-3)
@@ -74,38 +88,6 @@ class TestPrimeLaurent:
             if b.is_zero():
                 continue
             assert (a * b).div_exact(b) == a
-
-
-class TestPrimeRat:
-    def test_inverse_pair(self):
-        r = PrimeRat(PrimeLaurent.const(1), p - 1)
-        assert r * PrimeRat(p - 1) == PrimeRat(PrimeLaurent.const(1))
-
-    def test_common_denominator(self):
-        s = PrimeRat(PrimeLaurent.const(1), p - 1) + PrimeRat(
-            PrimeLaurent.const(1), p + 1
-        )
-        assert s == PrimeRat(2 * p, p**2 - 1)
-
-    def test_multiplicity_normalization_value(self):
-        # (1-t)(1-t^2)/(1-t)^2 at t = 1/p collapses to (p+1)/p
-        t = PrimeLaurent.p_power(-1)
-        one = PrimeLaurent.const(1)
-        r = PrimeRat((one - t) * (one - t * t), (one - t) * (one - t))
-        assert r.to_laurent() == pl({0: 1, -1: 1})
-
-    def test_to_laurent_raises(self):
-        with pytest.raises(NotLaurent):
-            PrimeRat(PrimeLaurent.const(1), p - 1).to_laurent()
-
-    def test_zero_denominator_raises(self):
-        with pytest.raises(DivisionByZero):
-            PrimeRat(p, PrimeLaurent())
-
-    def test_canonical_reduction(self):
-        # (p^2-1)/(p-1) reduces to the polynomial p+1
-        r = PrimeRat(p**2 - 1, p - 1)
-        assert r.den.is_one() and r.num == p + 1
 
 
 def variables(nv):

@@ -63,6 +63,34 @@ class TestOmegaCommand:
             run(["omega", "--lambda", "1,0"])
         assert exc.value.code == 2
 
+    def test_prime_zero_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["omega", "--lambda", "2,1,0", "--prime", "0"])
+        assert exc.value.code == 2
+        assert "--prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["--prime", "4", "--oracle"], ["--prime", "1", "--oracle"], ["--prime", "-3"]]
+    )
+    def test_non_prime_rejected(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["omega", "--lambda", "1,0,0", *extra])
+        assert exc.value.code == 2
+        assert "--prime" in capsys.readouterr().err
+
+    def test_largest_prime_accepted(self, capsys):
+        code, out = invoke(capsys, ["omega", "--lambda", "0,0,0", "--prime", "999983"])
+        assert code == 0
+        assert out == "1\n"
+
+    def test_enumeration_too_large_is_usage_error(self, capsys):
+        code = run(["omega", "--lambda", "9,0,0", "--prime", "7", "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("heckeseries: error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestOtherCommands:
     def test_table_has_28_rows(self, capsys):
@@ -115,6 +143,13 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             run(["transmogrify"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code = run(["--out", str(tmp_path / "missing" / "x"), "images"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("heckeseries: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "omega.txt"

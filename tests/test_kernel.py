@@ -1,9 +1,11 @@
-"""Differential tests: XPoly arithmetic on the packed kernel against a reference.
+"""Differential tests: XPoly and PrimeLaurent arithmetic on the packed kernel
+against a reference.
 
 The reference functions below are the dict-of-tuple loops XPoly used before
 it had a packed kernel: sum, product, exact division and substitution on
-``terms`` with ``PrimeLaurent`` coefficient arithmetic.  They live only
-here, as the oracle the kernel must agree with.
+``terms`` with ``PrimeLaurent`` coefficient arithmetic, and the dense
+univariate division ``PrimeLaurent.div_exact`` used before it ran on the
+kernel.  They live only here, as the oracle the kernel must agree with.
 """
 
 import signal
@@ -28,6 +30,41 @@ from hypothesis import strategies as st  # noqa: E402
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _dense(a, shift):
+    """Coefficient list of a * p^(-shift), constant term first."""
+    out = [Fraction(0)] * (a.max_exp() - shift + 1)
+    for e, c in a.terms.items():
+        out[e - shift] = c
+    return out
+
+
+def _poly_divmod(a, b):
+    """Dense univariate division over Q; returns (quotient, remainder)."""
+    while b and not b[-1]:
+        b = b[:-1]
+    r = list(a)
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    lead = b[-1]
+    for i in range(len(r) - len(b), -1, -1):
+        c = r[i + len(b) - 1] / lead
+        if c:
+            q[i] = c
+            for j, bc in enumerate(b):
+                r[i + j] -= c * bc
+    return q, r
+
+
+def ref_laurent_div_exact(a, b):
+    """Exact Laurent quotient a / b by dense division of the shifted polynomials."""
+    if a.is_zero():
+        return PrimeLaurent()
+    sa, sb = a.min_exp(), b.min_exp()
+    q, r = _poly_divmod(_dense(a, sa), _dense(b, sb))
+    if any(r):
+        raise NotDivisible(f"{a} is not divisible by {b}")
+    return PrimeLaurent({i + sa - sb: c for i, c in enumerate(q) if c})
 
 
 def ref_add(a, b):
@@ -127,6 +164,7 @@ def ref_omega_hl(lam, n):
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 laurents = st.dictionaries(st.integers(-4, 4), rationals, max_size=3).map(PrimeLaurent)
+wide_laurents = st.dictionaries(st.integers(-6, 6), rationals, max_size=4).map(PrimeLaurent)
 
 
 def xpolys(nvars, max_exp=3, max_terms=5):
@@ -215,6 +253,23 @@ def test_div_exact_agrees_on_arbitrary_pairs(ab):
             a.div_exact(b)
     else:
         assert a.div_exact(b) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_laurents, wide_laurents.filter(bool))
+def test_laurent_div_exact_matches_dense_reference(a, b):
+    with time_limit(10):
+        got = (a * b).div_exact(b)
+    assert got == a == ref_laurent_div_exact(a * b, b)
+    assert all(type(f) is Fraction for f in got.terms.values())
+    try:
+        expected = ref_laurent_div_exact(a, b)
+    except NotDivisible:
+        with time_limit(10), pytest.raises(NotDivisible):
+            a.div_exact(b)
+    else:
+        with time_limit(10):
+            assert a.div_exact(b) == expected
 
 
 @pytest.mark.parametrize(

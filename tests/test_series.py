@@ -4,7 +4,7 @@ polynomials over the Hecke ring, and the indeterminate-coefficient solve."""
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
-from heckeseries.errors import EnumerationTooLarge, NoSolution, NotSymmetric
+from heckeseries.errors import EnumerationTooLarge, NoSolution, NotLaurent, NotSymmetric
 from heckeseries.series import (
     DEFAULT_ORDER,
     SERIES_ORDER_BOUND,
@@ -14,6 +14,7 @@ from heckeseries.series import (
     T1_P2,
     T2_P2,
     T_P,
+    _solve_fraction_free,
     express_in_generators,
     functional_eq_check,
     hecke_image,
@@ -178,6 +179,17 @@ class TestExpressInGenerators:
             + p * (1 + p**2) ** 2 * P_BRACKET
         )
         assert sol == expected
+
+    def test_solve_laurent_system(self):
+        # x = p, y = p^-2 from rows with negative p-exponents
+        inv = PrimeLaurent.p_power(-1)
+        rows = [[PrimeLaurent.const(1), inv, p + inv**3], [p, PrimeLaurent.const(-1), p**2 - inv**2]]
+        assert _solve_fraction_free(rows, 2) == [p, inv**2]
+
+    def test_non_laurent_solution_raises(self):
+        # (p - 1) x = 1 is solved by 1/(p - 1), which is not Laurent in p
+        with pytest.raises(NotLaurent):
+            _solve_fraction_free([[p - 1, 1]], 1)
 
     def test_wrong_weight_rejected(self):
         with pytest.raises(NotSymmetric):

@@ -5,13 +5,12 @@ from math import factorial
 
 import pytest
 
-from heckeseries.algebra import PrimeLaurent, XPoly
+from heckeseries.algebra import PrimeLaurent, VSeries, XPoly
 from heckeseries.errors import LengthMismatch, NotSymmetric
 from heckeseries.symmetric import (
     elem,
     from_msym,
     msym,
-    sym_generating_function,
     to_msym,
     x0_weight,
 )
@@ -67,6 +66,15 @@ class TestElem:
     def test_elem3(self):
         assert elem(3, 3) == XPoly.monomial(4, (0, 1, 1, 1))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generating_function(self, n):
+        # elem(k, n) is the v^k coefficient of prod_i (1 + x_i v)
+        nv = n + 1
+        gen = VSeries.one(n, nv)
+        for i in range(1, nv):
+            gen = gen * VSeries.from_dict(n, nv, {0: XPoly.constant(nv, 1), 1: XPoly.variable(nv, i)})
+        assert gen.coeffs == [elem(k, n) for k in range(n + 1)]
+
 
 class TestToMsym:
     def test_generator_image_decomposition(self):
@@ -104,8 +112,3 @@ class TestToMsym:
         with pytest.raises(NotSymmetric):
             x0_weight(a)
 
-
-class TestGeneratingFunction:
-    def test_equals_orbit_construction(self):
-        for sig in all_signatures(6, 3):
-            assert sym_generating_function(sig, 3) == msym(sig, 3)
