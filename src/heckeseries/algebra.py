@@ -6,7 +6,9 @@ Everything downstream is built on three immutable value types:
   exact rational coefficients.  This is the coefficient ring of the whole
   project; negative ``p``-exponents are first class.
 * ``XPoly`` -- sparse multivariate polynomial in the Satake parameters
-  ``x0 .. x_{nvars-1}`` over ``PrimeLaurent``.
+  ``x0 .. x_{nvars-1}`` over ``PrimeLaurent``.  A subclass names its own
+  variables and is a ring of its own: ``series.HeckeExpr`` is the same
+  polynomial ring over the four Hecke generators.
 * ``VSeries`` -- truncated power series in ``v`` with ``XPoly`` coefficients.
 
 No floating point anywhere; equality is exact identity of canonical forms.
@@ -106,7 +108,10 @@ class PrimeLaurent:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -267,8 +272,9 @@ def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
     return out
 
 
-def _unpack(packed: dict, nvars: int, width: int) -> "XPoly":
-    """The XPoly of a packed dict; zero coefficients are dropped."""
+def _unpack(packed: dict, nvars: int, width: int, cls: type | None = None) -> "XPoly":
+    """The polynomial (an XPoly, or of class cls) of a packed dict; zero
+    coefficients are dropped."""
     half, mask = 1 << (width - 1), (1 << width) - 1
     laurents: dict[int, dict] = {}
     for key, c in packed.items():
@@ -288,7 +294,8 @@ def _unpack(packed: dict, nvars: int, width: int) -> "XPoly":
         c = PrimeLaurent.__new__(PrimeLaurent)
         c.terms = g
         terms[tuple(e)] = c
-    out = XPoly.__new__(XPoly)
+    cls = cls or XPoly
+    out = cls.__new__(cls)
     out.nvars = nvars
     out.terms = terms
     return out
@@ -401,9 +408,16 @@ def _div_packed(a: dict, b: dict, nvars: int, width: int) -> dict:
 
 
 class XPoly:
-    """Sparse polynomial in x0..x_{nvars-1} with PrimeLaurent coefficients."""
+    """Sparse polynomial in x0..x_{nvars-1} with PrimeLaurent coefficients.
+
+    A subclass is a ring of its own (``series.HeckeExpr``): arithmetic keeps
+    the class of self and refuses an operand of another class.
+    """
 
     __slots__ = ("nvars", "terms")
+
+    #: variable names for repr; None names them x0, x1, ...
+    var_names: tuple | None = None
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
         self.nvars = nvars
@@ -437,10 +451,15 @@ class XPoly:
         return XPoly(nvars, {tuple(exps): coeff})
 
     def _raw(self, terms: dict) -> "XPoly":
-        out = XPoly.__new__(XPoly)
+        out = type(self).__new__(type(self))
         out.nvars = self.nvars
         out.terms = terms
         return out
+
+    def _constant(self, value: Scalar) -> "XPoly":
+        """value as a constant of the ring of self."""
+        c = PrimeLaurent._coerce(value)
+        return self._raw({(0,) * self.nvars: c} if c else {})
 
     # -- predicates ---------------------------------------------------
 
@@ -458,12 +477,12 @@ class XPoly:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, XPoly):
+        if type(other) is type(self):
             if other.nvars != self.nvars:
                 raise VarMismatch(f"nvars {self.nvars} != {other.nvars}")
             return other
         if isinstance(other, (int, Fraction, PrimeLaurent)):
-            return XPoly.constant(self.nvars, other)
+            return self._constant(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -484,14 +503,17 @@ class XPoly:
         return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def _combine(self, other: "XPoly", scale: int) -> "XPoly":
         """self + scale * other."""
         width = _width(*_bounds((self, other)))
         acc = _pack(self, width)
         _add_into(acc, _pack(other, width), scale)
-        return _unpack(acc, self.nvars, width)
+        return _unpack(acc, self.nvars, width, type(self))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -501,14 +523,14 @@ class XPoly:
         width = _width(xa + xb, pa + pb)
         acc: dict = {}
         _mul_into(acc, _pack(self, width), _pack(other, width))
-        return _unpack(acc, self.nvars, width)
+        return _unpack(acc, self.nvars, width, type(self))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of XPoly")
-        result = XPoly.constant(self.nvars, 1)
+            raise ValueError("negative power of a polynomial")
+        result = self._constant(1)
         base = self
         while k:
             if k & 1:
@@ -525,22 +547,25 @@ class XPoly:
         (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
         width = _width(max(xa, xb), pa + pb)
         quot = _div_packed(_pack(self, width), _pack(other, width), self.nvars, width)
-        return _unpack(quot, self.nvars, width)
+        return _unpack(quot, self.nvars, width, type(self))
 
     def substitute(self, assignment: Mapping[int, Union["XPoly", Scalar]]) -> "XPoly":
         """Ring-homomorphism image under variable -> polynomial assignment.
 
-        Every variable occurring in self must be assigned; unassigned
-        occurrences raise UnassignedVariable.
+        The image lies in the ring of the polynomial values, which must all
+        share one class and nvars, or in the ring of self when every value
+        is a scalar.  Every variable occurring in self must be assigned;
+        unassigned occurrences raise UnassignedVariable.
         """
+        ring = next((v for v in assignment.values() if isinstance(v, XPoly)), self)
         images: dict[int, XPoly] = {}
         for i, val in assignment.items():
             if isinstance(val, XPoly):
-                if val.nvars != self.nvars:
-                    raise VarMismatch("assignment value has wrong nvars")
+                if type(val) is not type(ring) or val.nvars != ring.nvars:
+                    raise VarMismatch("assignment values lie in different rings")
                 images[i] = val
             else:
-                images[i] = XPoly.constant(self.nvars, val)
+                images[i] = ring._constant(val)
         bounds = {i: _bounds((img,)) for i, img in images.items()}
         xdeg = pabs = 0
         for e, c in self.terms.items():
@@ -564,17 +589,16 @@ class XPoly:
                     _mul_into(acc, power(i, k - 1), power(i, 1))
             return powers[i, k]
 
-        one = (0,) * self.nvars
         result: dict = {}
         for e, c in self.terms.items():
-            mono = _pack(self._raw({one: c}), width)
+            mono = _pack_laurent(c)
             for i, k in enumerate(e):
                 if k:
                     prod: dict = {}
                     _mul_into(prod, mono, power(i, k))
                     mono = prod
             _add_into(result, mono)
-        return _unpack(result, self.nvars, width)
+        return _unpack(result, ring.nvars, width, type(ring))
 
     def permute(self, perm: tuple) -> "XPoly":
         """Relabel variables: index i becomes perm[i] (length nvars)."""
@@ -599,8 +623,8 @@ class XPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, PrimeLaurent)):
-            other = XPoly.constant(self.nvars, other)
-        if not isinstance(other, XPoly):
+            other = self._constant(other)
+        if type(other) is not type(self):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
@@ -613,10 +637,11 @@ class XPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = self.var_names or [f"x{i}" for i in range(self.nvars)]
         parts = []
         for e, c in self.sorted_terms():
             mono = "*".join(
-                f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
+                f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
             )
             cs = repr(c)
             if " " in cs:

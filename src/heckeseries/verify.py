@@ -36,7 +36,7 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .symmetric import elem, msym, to_msym
+from .symmetric import elem, from_msym, msym, to_msym
 
 
 def _signatures(max_part: int, n: int):
@@ -73,33 +73,27 @@ def check_sp_images():
         return False, "T(p) image mismatch"
     if sm(1, 3) != (PrimeLaurent.p_power(1) - 1) * PrimeLaurent({2: 1, 1: 1, 0: 1}):
         return False, "sm_p(1,3) mismatch"
-    x0sq = XPoly.monomial(nv, (2, 0, 0, 0))
-
-    def expect(pairs):
-        acc = XPoly(nv)
-        for sig, c in pairs:
-            acc = acc + msym(sig, 3) * c
-        return x0sq * acc
-
     p_ = PrimeLaurent.p_power
-    if sp_image_Ti(3, 3) != expect([((1, 1, 1), p_(-6))]):
+    if sp_image_Ti(3, 3) != from_msym({(1, 1, 1): p_(-6)}, 3, 2):
         return False, "T_3(p^2) image mismatch"
-    if sp_image_pbracket(3) != expect([((1, 1, 1), p_(-6))]):
+    if sp_image_pbracket(3) != from_msym({(1, 1, 1): p_(-6)}, 3, 2):
         return False, "[p]_3 image mismatch"
-    if sp_image_Ti(2, 3) != expect(
-        [((1, 1, 0), p_(-3)), ((2, 1, 1), p_(-3)), ((1, 1, 1), p_(-3) - p_(-6))]
+    if sp_image_Ti(2, 3) != from_msym(
+        {(1, 1, 0): p_(-3), (2, 1, 1): p_(-3), (1, 1, 1): p_(-3) - p_(-6)}, 3, 2
     ):
         return False, "T_2(p^2) image mismatch"
     pm1 = p_(1) - 1
-    if sp_image_Ti(1, 3) != expect(
-        [
-            ((2, 1, 1), p_(-3) * (p_(2) - 1)),
-            ((2, 2, 1), p_(-1)),
-            ((2, 1, 0), p_(-1)),
-            ((1, 1, 1), p_(-4) * pm1 * PrimeLaurent({2: 3, 1: 2, 0: 1})),
-            ((1, 1, 0), p_(-3) * (p_(2) - 1)),
-            ((1, 0, 0), p_(-1)),
-        ]
+    if sp_image_Ti(1, 3) != from_msym(
+        {
+            (2, 1, 1): p_(-3) * (p_(2) - 1),
+            (2, 2, 1): p_(-1),
+            (2, 1, 0): p_(-1),
+            (1, 1, 1): p_(-4) * pm1 * PrimeLaurent({2: 3, 1: 2, 0: 1}),
+            (1, 1, 0): p_(-3) * (p_(2) - 1),
+            (1, 0, 0): p_(-1),
+        },
+        3,
+        2,
     ):
         return False, "T_1(p^2) image mismatch"
     return True, "T(p), T_i(p^2), [p]_3 images match"
@@ -108,24 +102,17 @@ def check_sp_images():
 def _expected_p3() -> VSeries:
     nv = 4
     p_ = PrimeLaurent.p_power
-
-    def combo(weight, pairs):
-        acc = XPoly(nv)
-        for sig, c in pairs:
-            acc = acc + msym(sig, 3) * c
-        return acc * XPoly.monomial(nv, (weight, 0, 0, 0))
-
     v3c = p_(-2) * (p_(1) + 1)
     return VSeries(
         6,
         [
             XPoly.constant(nv, 1),
             XPoly(nv),
-            -combo(2, [((2, 1, 1), p_(-1)), ((1, 1, 1), p_(-2) * PrimeLaurent({2: 1, 1: 1, 0: 1})), ((1, 1, 0), p_(-1))]),
-            combo(3, [((2, 2, 2), v3c), ((2, 2, 1), v3c), ((2, 1, 1), v3c), ((1, 1, 1), v3c)]),
-            -combo(4, [((3, 2, 2), p_(-2)), ((2, 2, 2), p_(-3) * PrimeLaurent({2: 1, 1: 1, 0: 1})), ((2, 2, 1), p_(-2))]),
+            -from_msym({(2, 1, 1): p_(-1), (1, 1, 1): p_(-2) * PrimeLaurent({2: 1, 1: 1, 0: 1}), (1, 1, 0): p_(-1)}, 3, 2),
+            from_msym({(2, 2, 2): v3c, (2, 2, 1): v3c, (2, 1, 1): v3c, (1, 1, 1): v3c}, 3, 3),
+            -from_msym({(3, 2, 2): p_(-2), (2, 2, 2): p_(-3) * PrimeLaurent({2: 1, 1: 1, 0: 1}), (2, 2, 1): p_(-2)}, 3, 4),
             XPoly(nv),
-            combo(6, [((3, 3, 3), p_(-3))]),
+            from_msym({(3, 3, 3): p_(-3)}, 3, 6),
         ],
     )
 

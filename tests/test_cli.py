@@ -1,13 +1,24 @@
 """Command-line interface tests: pinned output, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from heckeseries import cli
 from heckeseries.algebra import XPoly
-from heckeseries.cli import run
+from heckeseries.cli import LAMBDA_PART_BOUND, run
+from heckeseries.errors import NonVanishingTail
 from heckeseries.series import SERIES_ORDER_BOUND
 from heckeseries.spherical import omega_hl
+
+
+ROOT = Path(__file__).resolve().parent.parent
+#: text and JSON references of the benchmark's genus-3 job (read only here)
+REFERENCE_DIR = ROOT / "perfbench" / "reference" / "genus3-cli"
+#: LaTeX references, captured before HeckeExpr ran on the XPoly kernel
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GENUS3_COMMANDS = (["numerator", "--genus", "3"], ["theorem1"], ["theorem2"], ["special"])
 
 
 def invoke(capsys, argv):
@@ -63,6 +74,17 @@ class TestOmegaCommand:
             run(["omega", "--lambda", "1,0"])
         assert exc.value.code == 2
 
+    def test_lambda_part_bound(self, capsys):
+        assert LAMBDA_PART_BOUND >= SERIES_ORDER_BOUND
+        top = LAMBDA_PART_BOUND
+        code, out = invoke(capsys, ["omega", "--lambda", f"{top},{top},{top}"])
+        assert code == 0
+        assert out == f"1/p^{6 * top} * sym[{top},{top},{top}]\n"
+        with pytest.raises(SystemExit) as exc:
+            run(["omega", "--lambda", f"{LAMBDA_PART_BOUND + 1},0,0"])
+        assert exc.value.code == 2
+        assert "lambda" in capsys.readouterr().err
+
     def test_prime_zero_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["omega", "--lambda", "2,1,0", "--prime", "0"])
@@ -90,6 +112,18 @@ class TestOmegaCommand:
         assert captured.out == ""
         assert captured.err.startswith("heckeseries: error: ")
         assert captured.err.count("\n") == 1
+
+
+class TestGoldenOutput:
+    """The genus-3 results, byte for byte, in every output format."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    @pytest.mark.parametrize("argv", GENUS3_COMMANDS, ids=lambda argv: argv[0])
+    def test_matches_reference(self, argv, fmt, tmp_path):
+        path = tmp_path / f"{argv[0]}.{fmt}"
+        assert run(["--format", fmt, "--out", str(path)] + argv) == 0
+        reference = (GOLDEN_DIR if fmt == "latex" else REFERENCE_DIR) / path.name
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestOtherCommands:
@@ -150,6 +184,17 @@ class TestPlumbing:
         assert code == 2
         assert captured.err.startswith("heckeseries: error: ")
         assert captured.err.count("\n") == 1
+
+    def test_internal_failure_is_verification_failure(self, capsys, monkeypatch):
+        def fail():
+            raise NonVanishingTail("coefficient of v^7 is nonzero")
+
+        monkeypatch.setattr(cli, "p3_in_generators", fail)
+        code = run(["theorem1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "heckeseries: error: coefficient of v^7 is nonzero\n"
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "omega.txt"

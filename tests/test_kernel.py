@@ -1,11 +1,14 @@
-"""Differential tests: XPoly and PrimeLaurent arithmetic on the packed kernel
-against a reference.
+"""Differential tests: XPoly, HeckeExpr and PrimeLaurent arithmetic on the
+packed kernel against a reference.
 
 The reference functions below are the dict-of-tuple loops XPoly used before
 it had a packed kernel: sum, product, exact division and substitution on
 ``terms`` with ``PrimeLaurent`` coefficient arithmetic, and the dense
 univariate division ``PrimeLaurent.div_exact`` used before it ran on the
-kernel.  They live only here, as the oracle the kernel must agree with.
+kernel.  The same sum and product loops were HeckeExpr's own arithmetic
+before it became an XPoly over the generator names, and ``ref_hecke_image``
+is the hecke_image of that time: a sum of products of cached generator-image
+powers.  They live only here, as the oracle the kernel must agree with.
 """
 
 import signal
@@ -16,8 +19,16 @@ from itertools import permutations
 import pytest
 
 from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
-from heckeseries.errors import NotDivisible
-from heckeseries.spherical import _multiplicity_norm, _sgn, omega_hl
+from heckeseries.errors import NotDivisible, VarMismatch
+from heckeseries.series import T_P, HeckeExpr, hecke_image
+from heckeseries.spherical import (
+    _multiplicity_norm,
+    _sgn,
+    omega_hl,
+    sp_image_pbracket,
+    sp_image_Ti,
+    sp_image_Tp,
+)
 from heckeseries.symmetric import check_signature
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -160,6 +171,52 @@ def ref_omega_hl(lam, n):
     return XPoly(nv, {e: (c * prefactor).div_exact(norm) for e, c in quot.terms.items()})
 
 
+def as_hecke(a):
+    """The generator polynomial with the terms of a (reference results are XPoly)."""
+    return HeckeExpr(a.terms)
+
+
+def ref_hecke_pow(a, k):
+    result = HeckeExpr.const(1)
+    base = a
+    while k:
+        if k & 1:
+            result = as_hecke(ref_mul(result, base))
+        base = as_hecke(ref_mul(base, base))
+        k >>= 1
+    return result
+
+
+_REF_IMAGE_POWERS = {}
+
+
+def ref_image_power(index, k):
+    if (index, k) not in _REF_IMAGE_POWERS:
+        if k == 0:
+            power = XPoly.constant(4, 1)
+        else:
+            base = [sp_image_Tp(3), sp_image_Ti(1, 3), sp_image_Ti(2, 3), sp_image_pbracket(3)]
+            power = ref_mul(ref_image_power(index, k - 1), base[index])
+        _REF_IMAGE_POWERS[index, k] = power
+    return _REF_IMAGE_POWERS[index, k]
+
+
+def ref_hecke_image(e):
+    acc = XPoly(4)
+    for g, c in e.terms.items():
+        term = XPoly.constant(4, c)
+        for index, k in enumerate(g):
+            if k:
+                term = ref_mul(term, ref_image_power(index, k))
+        acc = ref_add(acc, term)
+    return acc
+
+
+def ref_hecke_to_json(e):
+    terms = sorted(e.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+    return {"terms": [{"g": list(g), "c": c.to_json()} for g, c in terms]}
+
+
 # -- strategies ----------------------------------------------------------
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -174,6 +231,11 @@ def xpolys(nvars, max_exp=3, max_terms=5):
 
 def nonzero(polys):
     return polys.filter(lambda a: not a.is_zero())
+
+
+def hecke_exprs(max_degree=3, max_terms=4):
+    gens = st.tuples(*[st.integers(0, 2)] * 4).filter(lambda g: sum(g) <= max_degree)
+    return st.dictionaries(gens, wide_laurents, max_size=max_terms).map(HeckeExpr)
 
 
 pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n)))
@@ -330,3 +392,75 @@ def test_vseries_mul_and_recip(case):
 def test_omega_hl_matches_reference(lam):
     assert omega_hl(lam, len(lam)) == ref_omega_hl(lam, len(lam))
 
+
+
+# -- HeckeExpr: an XPoly over the generator names ---------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(hecke_exprs(), hecke_exprs(), wide_laurents)
+def test_hecke_arithmetic_matches_reference(a, b, c):
+    for got, expected in (
+        (a + b, ref_add(a, b)),
+        (a - b, ref_add(a, -b)),
+        (-a, XPoly(4, {g: -x for g, x in a.terms.items()})),
+        (a * b, ref_mul(a, b)),
+        (c * a, ref_mul(a, XPoly.constant(4, c))),
+        (a * 3, ref_mul(a, XPoly.constant(4, 3))),
+    ):
+        assert type(got) is HeckeExpr
+        assert got == as_hecke(expected)
+        assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hecke_exprs(max_degree=2, max_terms=3), st.integers(0, 4))
+def test_hecke_pow_matches_reference(a, k):
+    got = a**k
+    assert type(got) is HeckeExpr
+    assert got == ref_hecke_pow(a, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hecke_exprs())
+def test_hecke_image_matches_reference(e):
+    got = hecke_image(e)
+    assert type(got) is XPoly and got.nvars == 4
+    assert got == ref_hecke_image(e)
+    assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hecke_exprs())
+def test_hecke_json_round_trip(e):
+    data = e.to_json()
+    assert data == ref_hecke_to_json(e)
+    assert HeckeExpr.from_json(data) == e
+
+
+def test_hecke_negative_power_raises():
+    with time_limit(10), pytest.raises(ValueError):
+        T_P**-1
+
+
+def test_hecke_and_xpoly_do_not_mix():
+    x0 = XPoly.variable(4, 0)
+    assert T_P.terms == x0.terms
+    for op in (
+        lambda: T_P + x0,
+        lambda: x0 + T_P,
+        lambda: T_P - x0,
+        lambda: x0 - T_P,
+        lambda: T_P * x0,
+        lambda: x0 * T_P,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert (T_P == x0) is False and (x0 == T_P) is False
+    assert T_P != x0
+
+
+@pytest.mark.parametrize("g", [(1, 0, 0), (1, 0, 0, 0, 0), (0, -1, 0, 0)])
+def test_malformed_generator_tuple_rejected(g):
+    with pytest.raises(VarMismatch):
+        HeckeExpr({g: 1})
