@@ -40,8 +40,7 @@ from .verify import image_mismatch, run_all
 PRIME_BOUND = 10**6
 #: largest part accepted by --lambda; it covers every signature the series
 #: use up to SERIES_ORDER_BOUND.  At this bound one omega takes under 1 s and
-#: renders up to 1 MB of JSON (2-vCPU Xeon); the cost grows about as the cube
-#: of the largest part
+#: renders up to 1 MB of JSON (2-vCPU Xeon); at 200 it takes 2 s
 LAMBDA_PART_BOUND = 120
 
 

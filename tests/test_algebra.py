@@ -51,6 +51,10 @@ class TestPrimeLaurent:
         with pytest.raises(DivisionByZero):
             PrimeLaurent().div_exact(PrimeLaurent())
 
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            "1" - p
+
     def test_div_exact_difference_of_squares(self):
         assert (p**2 - 1).div_exact(p - 1) == p + 1
 
@@ -144,6 +148,10 @@ class TestXPoly:
         _, x1, x2 = variables(3)
         with pytest.raises(NotDivisible):
             (x1 * x1 + x2).div_exact(x1 - x2)
+
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            "1" - XPoly.variable(2, 0)
 
     def test_var_mismatch_raises(self):
         with pytest.raises(VarMismatch):
