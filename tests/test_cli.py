@@ -16,9 +16,18 @@ from heckeseries.spherical import omega_hl
 ROOT = Path(__file__).resolve().parent.parent
 #: text and JSON references of the benchmark's genus-3 job (read only here)
 REFERENCE_DIR = ROOT / "perfbench" / "reference" / "genus3-cli"
-#: LaTeX references, captured before HeckeExpr ran on the XPoly kernel
+#: LaTeX references of the genus-3 commands, captured before HeckeExpr ran on
+#: the XPoly kernel, and all references of the GOLDEN_COMMANDS, captured while
+#: Laurent coefficients were still dicts of Fraction
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GENUS3_COMMANDS = (["numerator", "--genus", "3"], ["theorem1"], ["theorem2"], ["special"])
+#: reference name -> argv of commands whose output has rational coefficients
+GOLDEN_COMMANDS = {
+    "table": ["table"],
+    "images": ["images"],
+    "omega-421-p3": ["omega", "--lambda", "4,2,1", "--prime", "3"],
+    "omega-310-p2-oracle": ["omega", "--lambda", "3,1,0", "--prime", "2", "--oracle"],
+}
 
 
 def invoke(capsys, argv):
@@ -118,11 +127,16 @@ class TestGoldenOutput:
     """The genus-3 results, byte for byte, in every output format."""
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
-    @pytest.mark.parametrize("argv", GENUS3_COMMANDS, ids=lambda argv: argv[0])
-    def test_matches_reference(self, argv, fmt, tmp_path):
-        path = tmp_path / f"{argv[0]}.{fmt}"
+    @pytest.mark.parametrize(
+        "name, argv",
+        [pytest.param(argv[0], argv, id=argv[0]) for argv in GENUS3_COMMANDS]
+        + [pytest.param(name, argv, id=name) for name, argv in GOLDEN_COMMANDS.items()],
+    )
+    def test_matches_reference(self, name, argv, fmt, tmp_path):
+        path = tmp_path / f"{name}.{fmt}"
         assert run(["--format", fmt, "--out", str(path)] + argv) == 0
-        reference = (GOLDEN_DIR if fmt == "latex" else REFERENCE_DIR) / path.name
+        genus3_text = name not in GOLDEN_COMMANDS and fmt != "latex"
+        reference = (REFERENCE_DIR if genus3_text else GOLDEN_DIR) / path.name
         assert path.read_bytes() == reference.read_bytes()
 
 
