@@ -11,7 +11,12 @@ Everything downstream is built on three immutable value types:
   polynomial ring over the four Hecke generators.
 * ``VSeries`` -- truncated power series in ``v`` with ``XPoly`` coefficients.
 
-No floating point anywhere; equality is exact identity of canonical forms.
+Every rational coefficient is stored in one canonical form: an ``int`` when
+it is integral, a ``Fraction`` otherwise, and never zero.  A coefficient of
+any other type (a float or a string) raises ``TypeError``.  All arithmetic
+runs on the packed kernel below; a ``PrimeLaurent``'s terms are its packed
+dict in zero variables.  No floating point anywhere; equality is exact
+identity of canonical forms.
 """
 
 from __future__ import annotations
@@ -31,16 +36,29 @@ from .errors import (
 Scalar = Union[int, Fraction, "PrimeLaurent"]
 
 
+def _exact(c):
+    """c in canonical form: an int when integral, a Fraction otherwise."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+
+
 class PrimeLaurent:
-    """Laurent polynomial in p over the rationals, stored exponent -> coefficient."""
+    """Laurent polynomial in p over the rationals, stored exponent -> coefficient.
+
+    The terms are the packed kernel's dict in zero variables: the key is the
+    p-exponent, and every coefficient is in canonical form (see ``_exact``).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[int(e)] = c
         self.terms = clean
@@ -49,11 +67,18 @@ class PrimeLaurent:
 
     @staticmethod
     def const(value) -> "PrimeLaurent":
-        return PrimeLaurent({0: Fraction(value)})
+        return PrimeLaurent({0: value})
 
     @staticmethod
     def p_power(k: int, coeff=1) -> "PrimeLaurent":
-        return PrimeLaurent({k: Fraction(coeff)})
+        return PrimeLaurent({k: coeff})
+
+    @staticmethod
+    def _raw(terms: dict) -> "PrimeLaurent":
+        """The Laurent polynomial of packed terms; zeros are dropped."""
+        out = PrimeLaurent.__new__(PrimeLaurent)
+        out.terms = {e: c if type(c) is int else _exact(c) for e, c in terms.items() if c}
+        return out
 
     # -- predicates ---------------------------------------------------
 
@@ -61,7 +86,7 @@ class PrimeLaurent:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
+        return self.terms == {0: 1}
 
     def min_exp(self) -> int:
         return min(self.terms)
@@ -83,29 +108,24 @@ class PrimeLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        out = PrimeLaurent.__new__(PrimeLaurent)
-        out.terms = res
-        return out
+        acc = dict(self.terms)
+        _add_into(acc, other.terms)
+        return PrimeLaurent._raw(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PrimeLaurent.__new__(PrimeLaurent)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        acc: dict = {}
+        _add_into(acc, self.terms, -1)
+        return PrimeLaurent._raw(acc)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        _add_into(acc, other.terms, -1)
+        return PrimeLaurent._raw(acc)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -117,18 +137,9 @@ class PrimeLaurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        res: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = res.get(e, 0) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        out = PrimeLaurent.__new__(PrimeLaurent)
-        out.terms = res
-        return out
+        acc: dict = {}
+        _mul_into(acc, self.terms, other.terms)
+        return PrimeLaurent._raw(acc)
 
     __rmul__ = __mul__
 
@@ -151,15 +162,9 @@ class PrimeLaurent:
             raise DivisionByZero("division by zero Laurent polynomial")
         if self.is_zero():
             return PL_ZERO
-        # keys of the packed kernel with no x-variables: the p-exponent alone
-        a, b = _pack_laurent(self), _pack_laurent(other)
+        a, b = self.terms, other.terms
         width = _width(0, max(map(abs, a)) + max(map(abs, b)))
-        out = PrimeLaurent.__new__(PrimeLaurent)
-        out.terms = {
-            e: c if type(c) is Fraction else Fraction(c)
-            for e, c in _div_packed(a, b, 0, width).items()
-        }
-        return out
+        return PrimeLaurent._raw(_div_packed(a, b, 0, width))
 
     def evaluate(self, value) -> Fraction:
         """Specialize p to a concrete rational value."""
@@ -197,7 +202,7 @@ class PrimeLaurent:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        return {str(e): _frac_str(c) for e, c in sorted(self.terms.items(), reverse=True)}
+        return {str(e): str(c) for e, c in sorted(self.terms.items(), reverse=True)}
 
     @staticmethod
     def from_json(data: Mapping[str, str]) -> "PrimeLaurent":
@@ -210,12 +215,23 @@ PL_ONE = PrimeLaurent.const(1)
 p = PrimeLaurent.p_power(1)
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _laurent(value: Scalar) -> PrimeLaurent:
+    """value as a Laurent polynomial; anything but a PrimeLaurent, an int or
+    a Fraction raises TypeError."""
+    return value if isinstance(value, PrimeLaurent) else PrimeLaurent.const(value)
 
 
 def _grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
+
+
+def monomial_text(exps: tuple, names, tex: bool = False) -> str:
+    """The monomial with exponents exps in the variables names, as text
+    (x0^2*x1) or as LaTeX (x0^{2}x1)."""
+    power = "{}^{{{}}}" if tex else "{}^{}"
+    return ("" if tex else "*").join(
+        power.format(names[i], k) if k > 1 else names[i] for i, k in enumerate(exps) if k
+    )
 
 
 # -- packed kernel ----------------------------------------------------
@@ -229,7 +245,8 @@ def _grlex_key(exps: tuple) -> tuple:
 # monomials, adding a key shifts by a monomial (p^k is the key k), and
 # comparing keys is a monomial order: lex on x_{n-1} .. x_0, then p.  The
 # top bit of every x field stays clear; division uses it as a guard bit.
-# A coefficient is an int when it is integral and a Fraction otherwise.
+# Coefficients are canonical (see _exact) on the way in; sums and products
+# may leave zeros and integral Fractions, which _unpack canonicalizes.
 
 
 def _width(xdeg: int, pabs: int) -> int:
@@ -257,24 +274,19 @@ def _key(exps: tuple, width: int, pe: int = 0) -> int:
     return x + pe
 
 
-def _pack_laurent(c: PrimeLaurent) -> dict:
-    """The terms of c with integral coefficients as ints."""
-    return {pe: f.numerator if f.denominator == 1 else f for pe, f in c.terms.items()}
-
-
 def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
     """Packed terms of a, multiplied by the monomial whose key is offset."""
     out = {}
     for e, c in a.terms.items():
         x = _key(e, width, offset)
         for pe, f in c.terms.items():
-            out[x + pe] = f.numerator if f.denominator == 1 else f
+            out[x + pe] = f
     return out
 
 
 def _unpack(packed: dict, nvars: int, width: int, cls: type | None = None) -> "XPoly":
-    """The polynomial (an XPoly, or of class cls) of a packed dict; zero
-    coefficients are dropped."""
+    """The polynomial (an XPoly, or of class cls) of a packed dict, with
+    canonical coefficients; zeros are dropped."""
     half, mask = 1 << (width - 1), (1 << width) - 1
     laurents: dict[int, dict] = {}
     for key, c in packed.items():
@@ -284,7 +296,7 @@ def _unpack(packed: dict, nvars: int, width: int, cls: type | None = None) -> "X
             g = laurents.get(x)
             if g is None:
                 laurents[x] = g = {}
-            g[pe] = c if type(c) is Fraction else Fraction(c)
+            g[pe] = c if type(c) is int else _exact(c)
     terms = {}
     for x, g in laurents.items():
         e = []
@@ -420,6 +432,8 @@ class XPoly:
     var_names: tuple | None = None
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
+        if self.var_names is not None and nvars != len(self.var_names):
+            raise VarMismatch(f"{type(self).__name__} has {len(self.var_names)} variables, not {nvars}")
         self.nvars = nvars
         clean = {}
         if terms:
@@ -429,26 +443,28 @@ class XPoly:
                     raise VarMismatch(f"exponent vector {e} has wrong length for nvars={nvars}")
                 if min(e, default=0) < 0:
                     raise VarMismatch(f"exponent vector {e} has a negative exponent")
-                c = PrimeLaurent._coerce(c)
-                if not c.is_zero():
+                c = _laurent(c)
+                if c:
                     clean[e] = c
         self.terms = clean
 
-    # -- constructors -------------------------------------------------
+    # -- constructors (each builds the class it is called on) ------------
 
-    @staticmethod
-    def constant(nvars: int, value: Scalar) -> "XPoly":
-        return XPoly(nvars, {(0,) * nvars: value})
+    @classmethod
+    def constant(cls, nvars: int, value: Scalar) -> "XPoly":
+        return cls.monomial(nvars, (0,) * nvars, value)
 
-    @staticmethod
-    def variable(nvars: int, index: int) -> "XPoly":
+    @classmethod
+    def variable(cls, nvars: int, index: int) -> "XPoly":
         e = [0] * nvars
         e[index] = 1
-        return XPoly(nvars, {tuple(e): 1})
+        return cls.monomial(nvars, e)
 
-    @staticmethod
-    def monomial(nvars: int, exps: tuple, coeff: Scalar = 1) -> "XPoly":
-        return XPoly(nvars, {tuple(exps): coeff})
+    @classmethod
+    def monomial(cls, nvars: int, exps: tuple, coeff: Scalar = 1) -> "XPoly":
+        out = cls.__new__(cls)
+        XPoly.__init__(out, nvars, {tuple(exps): coeff})
+        return out
 
     def _raw(self, terms: dict) -> "XPoly":
         out = type(self).__new__(type(self))
@@ -458,7 +474,7 @@ class XPoly:
 
     def _constant(self, value: Scalar) -> "XPoly":
         """value as a constant of the ring of self."""
-        c = PrimeLaurent._coerce(value)
+        c = _laurent(value)
         return self._raw({(0,) * self.nvars: c} if c else {})
 
     # -- predicates ---------------------------------------------------
@@ -591,7 +607,7 @@ class XPoly:
 
         result: dict = {}
         for e, c in self.terms.items():
-            mono = _pack_laurent(c)
+            mono = c.terms
             for i, k in enumerate(e):
                 if k:
                     prod: dict = {}
@@ -640,9 +656,7 @@ class XPoly:
         names = self.var_names or [f"x{i}" for i in range(self.nvars)]
         parts = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
-            )
+            mono = monomial_text(e, names)
             cs = repr(c)
             if " " in cs:
                 cs = f"({cs})"

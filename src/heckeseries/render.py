@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PrimeLaurent, VSeries, XPoly
+from .algebra import PrimeLaurent, VSeries, XPoly, monomial_text
 from .series import HeckeExpr, GENERATOR_NAMES
 from .symmetric import to_msym, x0_weight
 
 
-def _num_term(coeff: Fraction, exp: int, tex: bool) -> str:
+def _num_term(coeff: int | Fraction, exp: int, tex: bool) -> str:
     """One numerator term c*p^e with no leading sign for positive c."""
     if coeff.denominator != 1:
         cs = f"{coeff.numerator}/{coeff.denominator}" if not tex else f"\\tfrac{{{coeff.numerator}}}{{{coeff.denominator}}}"
@@ -94,13 +94,7 @@ def hecke_text(e: HeckeExpr, tex: bool = False) -> str:
     )
     parts = []
     for g, c in e.sorted_terms():
-        mono = "".join(
-            (f"{names[i]}^{{{k}}}" if tex else f"{names[i]}^{k}") if k > 1 else names[i]
-            for i, k in enumerate(g)
-            if k
-        ) if tex else "*".join(
-            f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(g) if k
-        )
+        mono = monomial_text(g, names, tex)
         coeff = laurent_text(c, tex)
         if not mono:
             parts.append(coeff)

@@ -65,13 +65,11 @@ class HeckeExpr(XPoly):
 
     @staticmethod
     def generator(index: int) -> "HeckeExpr":
-        g = [0, 0, 0, 0]
-        g[index] = 1
-        return HeckeExpr({tuple(g): 1})
+        return HeckeExpr.variable(4, index)
 
     @staticmethod
     def const(value) -> "HeckeExpr":
-        return HeckeExpr({(0, 0, 0, 0): value})
+        return HeckeExpr.constant(4, value)
 
     def sorted_terms(self):
         """Terms by ascending (degree, tuple): the reverse of XPoly's order."""

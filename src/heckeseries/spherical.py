@@ -54,8 +54,8 @@ def phi(r: int) -> PrimeLaurent:
 # brute-force count over small fields in the test suite.
 _SM_FULL_RANK = {
     0: PL_ONE,
-    1: PrimeLaurent({1: Fraction(1), 0: Fraction(-1)}),          # p - 1
-    2: PrimeLaurent({3: Fraction(1), 2: Fraction(-1)}),          # p^3 - p^2
+    1: PrimeLaurent({1: 1, 0: -1}),          # p - 1
+    2: PrimeLaurent({3: 1, 2: -1}),          # p^3 - p^2
 }
 
 
@@ -107,7 +107,7 @@ def _multiplicity_norm(lam, n: int) -> PrimeLaurent:
     acc = PL_ONE
     for m in mult.values():
         for j in range(1, m + 1):
-            acc = acc * PrimeLaurent({-k: Fraction(1) for k in range(j)})
+            acc = acc * PrimeLaurent({-k: 1 for k in range(j)})
     return acc
 
 
@@ -242,7 +242,7 @@ def omega_cosets(lam: tuple, n: int, prime: int) -> XPoly:
     q = Fraction(prime)
     for d, count in buckets.items():
         full = tuple(di + base for di in d)
-        coeff = Fraction(count) * q ** (-sum((i + 1) * e for i, e in enumerate(full)))
+        coeff = count * q ** (-sum((i + 1) * e for i, e in enumerate(full)))
         acc = acc + XPoly.monomial(nv, (0,) + full, coeff)
     return acc
 

@@ -55,6 +55,19 @@ class TestPrimeLaurent:
         with pytest.raises(TypeError):
             "1" - p
 
+    @pytest.mark.parametrize("value", [0.1, 0.0, "1/2", 1j, None])
+    def test_inexact_coefficient_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            PrimeLaurent({0: value})
+        with pytest.raises(TypeError):
+            PrimeLaurent.const(value)
+
+    def test_coefficients_are_canonical(self):
+        a = pl({0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0), 3: True})
+        assert a.terms == {0: 2, 1: Fraction(1, 2), 3: 1}
+        assert [type(c) for c in a.terms.values()] == [int, Fraction, int]
+        assert pl({0: 2}) == pl({0: Fraction(2)}) and hash(pl({0: 2})) == hash(pl({0: Fraction(2)}))
+
     def test_div_exact_difference_of_squares(self):
         assert (p**2 - 1).div_exact(p - 1) == p + 1
 
@@ -152,6 +165,15 @@ class TestXPoly:
     def test_unsupported_operand_raises_type_error(self):
         with pytest.raises(TypeError):
             "1" - XPoly.variable(2, 0)
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, "1/2"])
+    def test_inexact_coefficient_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            XPoly(1, {(1,): value})
+        with pytest.raises(TypeError):
+            XPoly.constant(2, value)
+        with pytest.raises(TypeError):
+            XPoly.variable(1, 0).substitute({0: value})
 
     def test_var_mismatch_raises(self):
         with pytest.raises(VarMismatch):

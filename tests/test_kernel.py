@@ -3,9 +3,10 @@ packed kernel against a reference.
 
 The reference functions below are the dict-of-tuple loops XPoly used before
 it had a packed kernel: sum, product, exact division and substitution on
-``terms`` with ``PrimeLaurent`` coefficient arithmetic, and the dense
-univariate division ``PrimeLaurent.div_exact`` used before it ran on the
-kernel.  The same sum and product loops were HeckeExpr's own arithmetic
+``terms``.  Their coefficient arithmetic is the dict-of-Fraction sum and
+product loops of ``PrimeLaurent`` from before it ran on the kernel
+(``ref_laurent_add``, ``ref_laurent_mul``) and the dense univariate division
+``PrimeLaurent.div_exact`` used before that (``ref_laurent_div_exact``).  The same sum and product loops were HeckeExpr's own arithmetic
 before it became an XPoly over the generator names, and ``ref_hecke_image``
 is the hecke_image of that time: a sum of products of cached generator-image
 powers.  They live only here, as the oracle the kernel must agree with.
@@ -20,7 +21,7 @@ import pytest
 
 from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
 from heckeseries.errors import NotDivisible, VarMismatch
-from heckeseries.series import T_P, HeckeExpr, hecke_image
+from heckeseries.series import P_BRACKET, T_P, HeckeExpr, hecke_image
 from heckeseries.spherical import (
     _multiplicity_norm,
     _sgn,
@@ -32,7 +33,7 @@ from heckeseries.spherical import (
 from heckeseries.symmetric import check_signature
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -47,7 +48,7 @@ def _dense(a, shift):
     """Coefficient list of a * p^(-shift), constant term first."""
     out = [Fraction(0)] * (a.max_exp() - shift + 1)
     for e, c in a.terms.items():
-        out[e - shift] = c
+        out[e - shift] = Fraction(c)
     return out
 
 
@@ -78,11 +79,39 @@ def ref_laurent_div_exact(a, b):
     return PrimeLaurent({i + sa - sb: c for i, c in enumerate(q) if c})
 
 
+def ref_laurent_add(a, b):
+    res = {e: Fraction(c) for e, c in a.terms.items()}
+    for e, c in b.terms.items():
+        s = res.get(e, 0) + c
+        if s:
+            res[e] = s
+        else:
+            res.pop(e, None)
+    return PrimeLaurent(res)
+
+
+def ref_laurent_mul(a, b):
+    res = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            s = res.get(e, 0) + Fraction(c1) * c2
+            if s:
+                res[e] = s
+            else:
+                res.pop(e, None)
+    return PrimeLaurent(res)
+
+
+def ref_laurent_neg(a):
+    return ref_laurent_mul(a, PrimeLaurent({0: -1}))
+
+
 def ref_add(a, b):
     res = dict(a.terms)
     for e, c in b.terms.items():
         s = res.get(e)
-        s = c if s is None else s + c
+        s = c if s is None else ref_laurent_add(s, c)
         if s.is_zero():
             res.pop(e, None)
         else:
@@ -90,14 +119,18 @@ def ref_add(a, b):
     return XPoly(a.nvars, res)
 
 
+def ref_neg(a):
+    return XPoly(a.nvars, {e: ref_laurent_neg(c) for e, c in a.terms.items()})
+
+
 def ref_mul(a, b):
     res = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            c = c1 * c2
+            c = ref_laurent_mul(c1, c2)
             s = res.get(e)
-            s = c if s is None else s + c
+            s = c if s is None else ref_laurent_add(s, c)
             if s.terms:
                 res[e] = s
             else:
@@ -115,11 +148,11 @@ def ref_div_exact(a, b):
         diff = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(d < 0 for d in diff):
             raise NotDivisible("leading monomial not divisible")
-        c = rem[lead_r].div_exact(lc_b)
+        c = ref_laurent_div_exact(rem[lead_r], lc_b)
         quot[diff] = c
         for e2, c2 in b.terms.items():
             e = tuple(x + y for x, y in zip(diff, e2))
-            s = rem.get(e, PL_ZERO) - c * c2
+            s = ref_laurent_add(rem.get(e, PL_ZERO), ref_laurent_neg(ref_laurent_mul(c, c2)))
             if s.terms:
                 rem[e] = s
             else:
@@ -159,16 +192,22 @@ def ref_omega_hl(lam, n):
     core, vdm = XPoly.monomial(nv, (0,) + lam), XPoly.constant(nv, 1)
     for i in range(1, nv):
         for j in range(i + 1, nv):
-            core = ref_mul(core, ref_add(x[i], ref_mul(x[j], -inv_p)))
-            vdm = ref_mul(vdm, ref_add(x[i], -x[j]))
+            core = ref_mul(core, ref_add(x[i], ref_mul(x[j], ref_neg(inv_p))))
+            vdm = ref_mul(vdm, ref_add(x[i], ref_neg(x[j])))
     total = XPoly(nv)
     for w in permutations(range(1, nv)):
         img = core.permute((0,) + w)
-        total = ref_add(total, img if _sgn(w) == 1 else -img)
+        total = ref_add(total, img if _sgn(w) == 1 else ref_neg(img))
     quot = ref_div_exact(total, vdm)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
     norm, prefactor = _multiplicity_norm(lam, n), PrimeLaurent.p_power(-weight)
-    return XPoly(nv, {e: (c * prefactor).div_exact(norm) for e, c in quot.terms.items()})
+    return XPoly(
+        nv,
+        {
+            e: ref_laurent_div_exact(ref_laurent_mul(c, prefactor), norm)
+            for e, c in quot.terms.items()
+        },
+    )
 
 
 def as_hecke(a):
@@ -242,10 +281,17 @@ pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n)))
 divisions = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), nonzero(xpolys(n))))
 
 
+def assert_canonical_laurent(c):
+    """Every coefficient is a nonzero int or a Fraction with denominator != 1."""
+    for f in c.terms.values():
+        assert f, "zero coefficient stored"
+        assert type(f) is int or (type(f) is Fraction and f.denominator != 1), repr(f)
+
+
 def assert_canonical(a):
     for c in a.terms.values():
         assert c.terms, "zero coefficient stored"
-        assert all(type(f) is Fraction and f for f in c.terms.values())
+        assert_canonical_laurent(c)
 
 
 @contextmanager
@@ -289,7 +335,7 @@ def test_scalar_mul_matches_reference(ac):
 def test_add_sub_match_reference(ab):
     a, b = ab
     assert a + b == ref_add(a, b)
-    assert a - b == ref_add(a, -b)
+    assert a - b == ref_add(a, ref_neg(b))
     assert_canonical(a - b)
     assert (a - a).is_zero()
 
@@ -318,12 +364,38 @@ def test_div_exact_agrees_on_arbitrary_pairs(ab):
 
 
 @settings(max_examples=300, deadline=None)
+@given(wide_laurents, wide_laurents)
+@example(PrimeLaurent({0: Fraction(1, 2)}), PrimeLaurent({0: 2}))
+@example(PrimeLaurent({1: Fraction(3, 4), 0: 1}), PrimeLaurent({-1: Fraction(4, 3), 0: Fraction(1, 2)}))
+def test_laurent_arithmetic_matches_reference(a, b):
+    neg_b = ref_laurent_neg(b)
+    for got, expected in (
+        (a + b, ref_laurent_add(a, b)),
+        (a - b, ref_laurent_add(a, neg_b)),
+        (-b, neg_b),
+        (a * b, ref_laurent_mul(a, b)),
+        (b * a, ref_laurent_mul(a, b)),
+        (a * 2, ref_laurent_mul(a, PrimeLaurent({0: 2}))),
+        (Fraction(1, 2) - a, ref_laurent_add(PrimeLaurent({0: Fraction(1, 2)}), ref_laurent_neg(a))),
+    ):
+        assert type(got) is PrimeLaurent
+        assert got.terms == expected.terms
+        assert_canonical_laurent(got)
+
+
+def test_laurent_integral_product_is_int():
+    got = PrimeLaurent({0: Fraction(1, 2), 1: Fraction(3, 2)}) * 2
+    assert got.terms == {0: 1, 1: 3}
+    assert all(type(c) is int for c in got.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
 @given(wide_laurents, wide_laurents.filter(bool))
 def test_laurent_div_exact_matches_dense_reference(a, b):
     with time_limit(10):
         got = (a * b).div_exact(b)
-    assert got == a == ref_laurent_div_exact(a * b, b)
-    assert all(type(f) is Fraction for f in got.terms.values())
+    assert got == a == ref_laurent_div_exact(ref_laurent_mul(a, b), b)
+    assert_canonical_laurent(got)
     try:
         expected = ref_laurent_div_exact(a, b)
     except NotDivisible:
@@ -365,7 +437,9 @@ def test_not_divisible_raises_promptly(a, b):
 def test_substitute_matches_reference(case):
     a, images = case
     assignment = dict(enumerate(images))
-    assert a.substitute(assignment) == ref_substitute(a, assignment)
+    got = a.substitute(assignment)
+    assert got == ref_substitute(a, assignment)
+    assert_canonical(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,8 +476,8 @@ def test_omega_hl_matches_reference(lam):
 def test_hecke_arithmetic_matches_reference(a, b, c):
     for got, expected in (
         (a + b, ref_add(a, b)),
-        (a - b, ref_add(a, -b)),
-        (-a, XPoly(4, {g: -x for g, x in a.terms.items()})),
+        (a - b, ref_add(a, ref_neg(b))),
+        (-a, ref_neg(a)),
         (a * b, ref_mul(a, b)),
         (c * a, ref_mul(a, XPoly.constant(4, c))),
         (a * 3, ref_mul(a, XPoly.constant(4, 3))),
@@ -458,6 +532,28 @@ def test_hecke_and_xpoly_do_not_mix():
             op()
     assert (T_P == x0) is False and (x0 == T_P) is False
     assert T_P != x0
+
+
+def test_inherited_constructors_build_hecke_expr():
+    assert type(HeckeExpr.constant(4, 1)) is HeckeExpr
+    assert HeckeExpr.constant(4, 1) + T_P == T_P + 1
+    assert HeckeExpr.variable(4, 0) == T_P
+    assert HeckeExpr.monomial(4, (2, 0, 0, 1), p) == T_P**2 * P_BRACKET * p
+    assert type(XPoly.constant(4, 1)) is XPoly
+    for make in (
+        lambda: HeckeExpr.constant(3, 1),
+        lambda: HeckeExpr.variable(5, 0),
+        lambda: HeckeExpr.monomial(2, (1, 0)),
+    ):
+        with pytest.raises(VarMismatch):
+            make()
+
+
+def test_hecke_inexact_coefficient_raises_type_error():
+    with pytest.raises(TypeError):
+        HeckeExpr({(1, 0, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        HeckeExpr.const(0.5)
 
 
 @pytest.mark.parametrize("g", [(1, 0, 0), (1, 0, 0, 0, 0), (0, -1, 0, 0)])
