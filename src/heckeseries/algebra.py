@@ -11,12 +11,9 @@ Everything downstream is built on three immutable value types:
   polynomial ring over the four Hecke generators.
 * ``VSeries`` -- truncated power series in ``v`` with ``XPoly`` coefficients.
 
-Every rational coefficient is stored in one canonical form: an ``int`` when
-it is integral, a ``Fraction`` otherwise, and never zero.  A coefficient of
-any other type (a float or a string) raises ``TypeError``.  All arithmetic
-runs on the packed kernel below; a ``PrimeLaurent``'s terms are its packed
-dict in zero variables.  No floating point anywhere; equality is exact
-identity of canonical forms.
+All arithmetic runs on the packed kernel below.  A rational coefficient is
+an ``int`` when integral and a ``Fraction`` otherwise, never zero; any other
+type raises ``TypeError``.  Equality is exact identity of canonical forms.
 """
 
 from __future__ import annotations
@@ -46,22 +43,13 @@ def _exact(c):
 
 
 class PrimeLaurent:
-    """Laurent polynomial in p over the rationals, stored exponent -> coefficient.
-
-    The terms are the packed kernel's dict in zero variables: the key is the
-    p-exponent, and every coefficient is in canonical form (see ``_exact``).
-    """
+    """Laurent polynomial in p over the rationals, stored exponent -> coefficient:
+    the packed kernel's dict in zero variables, with canonical coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = _exact(c)
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
+        self.terms = {int(e): x for e, c in terms.items() if (x := _exact(c))} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -104,28 +92,25 @@ class PrimeLaurent:
             return PrimeLaurent.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, scale: int):
+        """self + scale * other."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         acc = dict(self.terms)
-        _add_into(acc, other.terms)
+        _add_into(acc, other.terms, scale)
         return PrimeLaurent._raw(acc)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        acc: dict = {}
-        _add_into(acc, self.terms, -1)
-        return PrimeLaurent._raw(acc)
+        return PrimeLaurent._raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self.terms)
-        _add_into(acc, other.terms, -1)
-        return PrimeLaurent._raw(acc)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -245,8 +230,8 @@ def monomial_text(exps: tuple, names, tex: bool = False) -> str:
 # monomials, adding a key shifts by a monomial (p^k is the key k), and
 # comparing keys is a monomial order: lex on x_{n-1} .. x_0, then p.  The
 # top bit of every x field stays clear; division uses it as a guard bit.
-# Coefficients are canonical (see _exact) on the way in; sums and products
-# may leave zeros and integral Fractions, which _unpack canonicalizes.
+# Sums and products may leave zeros and integral Fractions; _unpack and
+# PrimeLaurent._raw drop and demote them (see _exact).
 
 
 def _width(xdeg: int, pabs: int) -> int:

@@ -383,12 +383,6 @@ def test_laurent_arithmetic_matches_reference(a, b):
         assert_canonical_laurent(got)
 
 
-def test_laurent_integral_product_is_int():
-    got = PrimeLaurent({0: Fraction(1, 2), 1: Fraction(3, 2)}) * 2
-    assert got.terms == {0: 1, 1: 3}
-    assert all(type(c) is int for c in got.terms.values())
-
-
 @settings(max_examples=300, deadline=None)
 @given(wide_laurents, wide_laurents.filter(bool))
 def test_laurent_div_exact_matches_dense_reference(a, b):
