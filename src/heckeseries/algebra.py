@@ -368,6 +368,8 @@ def _div_packed(a: dict, b: dict, nvars: int, width: int) -> dict:
     slack = _key(tuple(half - 1 - m for m in qmax), width)
     lead = max(b)
     lc = b[lead]
+    # dividing by +-1 is multiplying by it
+    unit = lc == 1 or lc == -1
     lead_pe = ((lead + half) & mask) - half
     lead_x = lead - lead_pe
     rest = [(k - lead, c) for k, c in b.items() if k != lead]
@@ -387,7 +389,7 @@ def _div_packed(a: dict, b: dict, nvars: int, width: int) -> dict:
         qx = t - guard
         if (qx + slack) & guard or not qlo <= qpe <= qhi:
             raise NotDivisible("quotient term outside the degree bounds")
-        q = _cdiv(c, lc)
+        q = c * lc if unit else _cdiv(c, lc)
         quot[qx + qpe] = q
         for dk, cb in rest:
             kk = k + dk

@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
+from itertools import product
+from math import isqrt, log10
 
 from .algebra import VSeries, XPoly
 from .errors import EnumerationTooLarge, HeckeError
@@ -40,8 +41,12 @@ from .verify import image_mismatch, run_all
 PRIME_BOUND = 10**6
 #: largest part accepted by --lambda; it covers every signature the series
 #: use up to SERIES_ORDER_BOUND.  At this bound one omega takes under 1 s and
-#: renders up to 1 MB of JSON (2-vCPU Xeon); at 200 it takes 2 s
+#: renders up to 1 MB of JSON without --prime (2-vCPU Xeon); at 200 it takes
+#: 2 s.  With --prime, OMEGA_OUTPUT_BOUND applies
 LAMBDA_PART_BOUND = 120
+#: largest output, in bytes, of omega --prime (with or without --oracle), as
+#: overestimated by _specialized_size before anything is computed
+OMEGA_OUTPUT_BOUND = 10**6
 
 
 def _parse_lambda(text: str, n: int = 3):
@@ -77,6 +82,53 @@ def _parse_prime(text: str) -> int:
     if any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
         raise argparse.ArgumentTypeError(f"{prime} is not prime")
     return prime
+
+
+def _specialized_size(lam: tuple, prime: int, fmt: str) -> tuple[int, int]:
+    """Overestimates of the longest integer, in digits, and of the bytes that
+    omega --prime writes for the signature lam at the prime in format fmt.
+
+    At the prime, the coefficient of x^e in omega(t(p^lam)) is the number of
+    Hermite-form cosets with diagonal prime^e, at most prime^(e_2 + 2 e_3),
+    over prime^(e_1 + 2 e_2 + 3 e_3) (see omega_cosets); omega is symmetric,
+    so e may be taken descending.  Each e is a permutation of a signature
+    that lam dominates, so its parts lie between the least and the largest
+    part of lam.  JSON writes a term per e, text and LaTeX one per
+    descending e, each in at most 64 bytes besides its two integers.
+    """
+    log = log10(prime)
+
+    def digits(k: int) -> int:
+        # decimal digits of prime^k, rounded up past any float error
+        return int(k * log + 1e-9) + 1
+
+    lo, hi, total = lam[-1], lam[0], sum(lam)
+    longest, size = 1, 64
+    for head in product(range(lo, hi + 1), repeat=len(lam) - 1):
+        e = head + (total - sum(head),)
+        desc = tuple(sorted(e, reverse=True))
+        if not lo <= e[-1] <= hi or (fmt != "json" and e != desc):
+            continue
+        den = sum(i * part for i, part in enumerate(desc, start=1))
+        longest = max(longest, digits(den))
+        size += digits(den - total) + digits(den) + 64
+    return longest, size
+
+
+def _check_specialized_size(lam: tuple, prime: int, fmt: str) -> None:
+    longest, size = _specialized_size(lam, prime, fmt)
+    # the interpreter refuses to print longer integers (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and longest > limit:
+        raise EnumerationTooLarge(
+            f"omega at prime {prime} has integers of up to {longest} digits, "
+            f"over the interpreter's limit of {limit}"
+        )
+    if size > OMEGA_OUTPUT_BOUND:
+        raise EnumerationTooLarge(
+            f"omega at prime {prime} may write up to {size} bytes, "
+            f"over the bound {OMEGA_OUTPUT_BOUND}"
+        )
 
 
 def _render_xpoly(a: XPoly, fmt: str) -> str:
@@ -157,6 +209,8 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     lines: list[str] = []
 
     if args.command == "omega":
+        if args.prime is not None:
+            _check_specialized_size(args.lam, args.prime, fmt)
         if args.oracle:
             if args.prime is None:
                 parser.error("--oracle requires --prime")

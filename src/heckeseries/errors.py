@@ -46,7 +46,8 @@ class UnsupportedRank(HeckeError):
 
 
 class EnumerationTooLarge(HeckeError):
-    """A computation would exceed its size bound (coset candidates, series order)."""
+    """A computation or its output would exceed its size bound (coset candidates,
+    series order, specialized omega output)."""
 
 
 class NonVanishingTail(HeckeError):

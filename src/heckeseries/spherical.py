@@ -101,14 +101,71 @@ def _deformed_product(n: int) -> XPoly:
 
 def _multiplicity_norm(lam, n: int) -> PrimeLaurent:
     """v_lambda(1/p) = prod over part-multiplicities m of prod_{j<=m} (1 + 1/p + ... + 1/p^(j-1))."""
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
     acc = PL_ONE
-    for m in mult.values():
+    for m in _multiplicity_class(lam):
         for j in range(1, m + 1):
             acc = acc * PrimeLaurent({-k: 1 for k in range(j)})
     return acc
+
+
+def _multiplicity_class(lam) -> tuple:
+    """The sorted part-multiplicities of lam; v_lambda(1/p) depends only on them."""
+    mult: dict[int, int] = {}
+    for part in lam:
+        mult[part] = mult.get(part, 0) + 1
+    return tuple(sorted(mult.values()))
+
+
+@lru_cache(maxsize=None)
+def _packed_orbit(n: int, width: int) -> tuple:
+    """(sign of w, the bit offset of the key field of x_w(i) for each i,
+    packed w(D)) for every permutation w of x1..xn, where D is the deformed
+    product."""
+    d = _deformed_product(n)
+    return tuple(
+        (_sgn(w), tuple(width * (j + 1) for j in w), _pack(d.permute((0,) + w), width))
+        for w in permutations(range(1, n + 1))
+    )
+
+
+def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
+    """The field width and, for each group of signatures, the packed sum over
+    the group of p^pshift * Antisym(x^lambda * D) / V / v_lambda(1/p).
+
+    D is the deformed product and V the Vandermonde.  Antisymmetrization
+    and both divisions are linear and v_lambda depends only on the
+    multiplicity class of lambda, so each class in a group is
+    antisymmetrized by key shifts of the packed w(D) and then divided
+    once by V and once by its norm.  The width fits x-exponents up to
+    xdeg, which must be at least every part.
+    """
+    nv = n + 1
+    reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
+    norms = {cls: _multiplicity_norm(lam, n) for cls, lam in reps.items()}
+    # the dividends' p-exponents lie in pshift + [-pabs(D), 0], and dividing
+    # by a norm needs room for its p-range besides
+    _, dpabs = _bounds((_deformed_product(n),))
+    npabs = max((-c.min_exp() for c in norms.values()), default=0)
+    width = _width(xdeg + n - 1, dpabs + npabs + abs(pshift))
+    orbit = _packed_orbit(n, width)
+    vdm = _pack(_vandermonde(n), width)
+    out = []
+    for sigs in groups:
+        totals: dict[tuple, dict] = {}
+        for lam in sigs:
+            total = totals.setdefault(_multiplicity_class(lam), {})
+            for sgn, shifts, wd in orbit:
+                key = pshift
+                for part, shift in zip(lam, shifts):
+                    key += part << shift
+                _add_into(total, wd, sgn, key)
+        acc: dict = {}
+        for cls, total in totals.items():
+            quot = _div_packed(total, vdm, nv, width)
+            # the normalized result is always Laurent
+            _add_into(acc, _div_packed(quot, norms[cls].terms, nv, width))
+        out.append(acc)
+    return width, out
 
 
 @lru_cache(maxsize=None)
@@ -117,23 +174,12 @@ def omega_hl(lam: tuple, n: int) -> XPoly:
 
     Computed as p^(-sum i*lambda_i) / v_lambda(1/p) times the signed
     S_n-symmetrization of x^lambda * prod_{i<j}(x_i - x_j/p), divided
-    exactly by the Vandermonde.
+    exactly by the Vandermonde (``_hl_sums`` of the one signature).
     """
     lam = check_signature(lam, n)
-    nv = n + 1
-    core = XPoly.monomial(nv, (0,) + lam) * _deformed_product(n)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    norm = XPoly.constant(nv, _multiplicity_norm(lam, n))
-    xdeg, pabs = _bounds((core, norm))
-    # the width also fits the quotient's p-range after the p^(-weight) shift
-    width = _width(xdeg, 2 * pabs + weight)
-    total: dict = {}
-    for w in permutations(range(1, n + 1)):
-        _add_into(total, _pack(core.permute((0,) + w), width), _sgn(w))
-    quot = _div_packed(total, _pack(_vandermonde(n), width), nv, width)
-    shifted = {k - weight: c for k, c in quot.items()}
-    # the normalized result is always Laurent
-    return _unpack(_div_packed(shifted, _pack(norm, width), nv, width), nv, width)
+    width, (packed,) = _hl_sums([[lam]], n, max(lam, default=0), -weight)
+    return _unpack(packed, n + 1, width)
 
 
 def omega_pi(i: int, n: int) -> XPoly:

@@ -1,13 +1,16 @@
 """Command-line interface tests: pinned output, determinism, exit codes."""
 
 import json
+import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 from heckeseries import cli
 from heckeseries.algebra import XPoly
-from heckeseries.cli import LAMBDA_PART_BOUND, run
+from heckeseries.cli import LAMBDA_PART_BOUND, OMEGA_OUTPUT_BOUND, _specialized_size, run
 from heckeseries.errors import NonVanishingTail
 from heckeseries.series import SERIES_ORDER_BOUND
 from heckeseries.spherical import omega_hl
@@ -123,6 +126,46 @@ class TestOmegaCommand:
         assert captured.err.count("\n") == 1
 
 
+class TestOutputGuard:
+    """omega --prime bounds the size of its output before computing it."""
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed", "oracle"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("lam", ["120,120,120", "120,80,0"])
+    def test_oversized_output_is_usage_error(self, lam, fmt, oracle, capsys):
+        code = run(["--format", fmt, "omega", "--lambda", lam, "--prime", "999983", *oracle])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("heckeseries: error: omega at prime 999983 ")
+        assert captured.err.count("\n") == 1
+
+    def test_largest_accepted_output_stays_under_the_bound(self, capsys):
+        prime = 999983
+        assert _specialized_size((47, 6, 0), prime, "json")[1] <= OMEGA_OUTPUT_BOUND
+        assert _specialized_size((48, 6, 0), prime, "json")[1] > OMEGA_OUTPUT_BOUND
+        code, out = invoke(capsys, ["--format", "json", "omega", "--lambda", "47,6,0", "--prime", str(prime)])
+        assert code == 0
+        assert len(out.encode()) <= OMEGA_OUTPUT_BOUND
+
+    def test_longest_accepted_integers_print(self, capsys):
+        # at 120,120,119 a denominator can be 999983^717, of 4302 digits
+        code, out = invoke(capsys, ["omega", "--lambda", "120,120,118", "--prime", "999983"])
+        assert code == 0
+        longest = max(len(digits) for digits in re.findall(r"\d+", out))
+        assert 4200 < longest <= sys.get_int_max_str_digits()
+
+    def test_estimate_overshoots(self, capsys):
+        for fmt in ("text", "json", "latex"):
+            for lam, prime in (((4, 2, 1), 3), ((30, 15, 2), 7919), ((22, 14, 14), 999983)):
+                argv = ["--format", fmt, "omega", "--lambda", ",".join(map(str, lam)), "--prime", str(prime)]
+                code, out = invoke(capsys, argv)
+                longest, size = _specialized_size(lam, prime, fmt)
+                assert code == 0
+                assert len(out.encode()) <= size
+                assert max(len(digits) for digits in re.findall(r"\d+", out)) <= longest
+
+
 class TestGoldenOutput:
     """The genus-3 results, byte for byte, in every output format."""
 
@@ -209,6 +252,13 @@ class TestPlumbing:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "heckeseries: error: coefficient of v^7 is nonzero\n"
+
+    def test_python_m_runs_the_cli(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["heckeseries", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("heckeseries", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heckeseries")
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "omega.txt"

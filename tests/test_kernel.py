@@ -9,19 +9,21 @@ product loops of ``PrimeLaurent`` from before it ran on the kernel
 ``PrimeLaurent.div_exact`` used before that (``ref_laurent_div_exact``).  The same sum and product loops were HeckeExpr's own arithmetic
 before it became an XPoly over the generator names, and ``ref_hecke_image``
 is the hecke_image of that time: a sum of products of cached generator-image
-powers.  They live only here, as the oracle the kernel must agree with.
+powers.  ``ref_r_series`` sums the generating series chain by chain, one
+``omega_hl`` per chain, as ``r_series`` did before it grouped signatures.
+They live only here, as the oracle the kernel must agree with.
 """
 
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
 from heckeseries.errors import NotDivisible, VarMismatch
-from heckeseries.series import P_BRACKET, T_P, HeckeExpr, hecke_image
+from heckeseries.series import P_BRACKET, T_P, HeckeExpr, hecke_image, r_series
 from heckeseries.spherical import (
     _multiplicity_norm,
     _sgn,
@@ -208,6 +210,24 @@ def ref_omega_hl(lam, n):
             for e, c in quot.terms.items()
         },
     )
+
+
+def ref_r_series(n, N):
+    """r_series by its definition, chain by chain in plain dicts: the v^delta
+    coefficient is the sum over chains d1 <= ... <= dn <= delta of
+    p^(n*d1 + ... + dn) * omega_hl(the chain reversed) * x0^delta."""
+    acc, coeffs = {}, []
+    for delta in range(N + 1):
+        for chain in combinations_with_replacement(range(delta + 1), n):
+            if chain[-1] != delta:
+                continue
+            weight = sum((n - i) * d for i, d in enumerate(chain))
+            for e, c in omega_hl(chain[::-1], n).terms.items():
+                laurent = acc.setdefault(e[1:], {})
+                for pe, f in c.terms.items():
+                    laurent[pe + weight] = laurent.get(pe + weight, 0) + f
+        coeffs.append(XPoly(n + 1, {(delta,) + e: PrimeLaurent(c) for e, c in acc.items()}))
+    return VSeries(N, coeffs)
 
 
 def as_hecke(a):
@@ -459,6 +479,16 @@ def test_vseries_mul_and_recip(case):
 )
 def test_omega_hl_matches_reference(lam):
     assert omega_hl(lam, len(lam)) == ref_omega_hl(lam, len(lam))
+
+
+@pytest.mark.parametrize(
+    "n, N", [(n, N) for n in (1, 2, 3) for N in (0, 1, 2, 5, 8)] + [(3, 12)]
+)
+def test_r_series_matches_per_chain_sum(n, N):
+    series = r_series(n, N)
+    assert series == ref_r_series(n, N)
+    for c in series.coeffs:
+        assert_canonical(c)
 
 
 
