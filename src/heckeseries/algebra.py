@@ -11,14 +11,19 @@ Everything downstream is built on three immutable value types:
   polynomial ring over the four Hecke generators.
 * ``VSeries`` -- truncated power series in ``v`` with ``XPoly`` coefficients.
 
-All arithmetic runs on the packed kernel below.  A rational coefficient is
-an ``int`` when integral and a ``Fraction`` otherwise, never zero; any other
-type raises ``TypeError``.  Equality is exact identity of canonical forms.
+``PrimeLaurent`` and ``XPoly`` share one set of ring operators (sum,
+difference, negation, powers, zero test) from the private base ``_Ring``;
+each keeps its own coercion, product and exact division.  All arithmetic
+runs on the packed kernel below.  A rational coefficient is an ``int`` when
+integral and a ``Fraction`` otherwise, never zero; an exponent is an
+integer.  Any other type raises ``TypeError``.  Equality is exact identity
+of canonical forms.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -42,14 +47,67 @@ def _exact(c):
     raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
 
 
-class PrimeLaurent:
+class _Ring:
+    """The ring operators that PrimeLaurent and XPoly share.
+
+    A subclass stores its canonical terms in ``terms`` and supplies
+    ``_coerce`` (an operand as an element of its ring, or NotImplemented),
+    ``_combine`` (self + scale * other, other already coerced), ``_raw``
+    (an element of its ring from canonical terms) and ``__mul__``.
+    """
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        return self._raw({e: -c for e, c in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self._coerce(1)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+
+class PrimeLaurent(_Ring):
     """Laurent polynomial in p over the rationals, stored exponent -> coefficient:
     the packed kernel's dict in zero variables, with canonical coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
-        self.terms = {int(e): x for e, c in terms.items() if (x := _exact(c))} if terms else {}
+        self.terms = {operator.index(e): x for e, c in terms.items() if (x := _exact(c))} if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -70,9 +128,6 @@ class PrimeLaurent:
 
     # -- predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_one(self) -> bool:
         return self.terms == {0: 1}
 
@@ -92,31 +147,11 @@ class PrimeLaurent:
             return PrimeLaurent.const(other)
         return NotImplemented
 
-    def _combine(self, other, scale: int):
+    def _combine(self, other: "PrimeLaurent", scale: int) -> "PrimeLaurent":
         """self + scale * other."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         acc = dict(self.terms)
         _add_into(acc, other.terms, scale)
         return PrimeLaurent._raw(acc)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeLaurent._raw({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -127,18 +162,6 @@ class PrimeLaurent:
         return PrimeLaurent._raw(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = PL_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def div_exact(self, other: "PrimeLaurent") -> "PrimeLaurent":
         """Exact Laurent quotient; raises NotDivisible if none exists."""
@@ -166,9 +189,6 @@ class PrimeLaurent:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -406,7 +426,7 @@ def _div_packed(a: dict, b: dict, nvars: int, width: int) -> dict:
     return quot
 
 
-class XPoly:
+class XPoly(_Ring):
     """Sparse polynomial in x0..x_{nvars-1} with PrimeLaurent coefficients.
 
     A subclass is a ring of its own (``series.HeckeExpr``): arithmetic keeps
@@ -425,7 +445,7 @@ class XPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                e = tuple(int(v) for v in e)
+                e = tuple(map(operator.index, e))
                 if len(e) != nvars:
                     raise VarMismatch(f"exponent vector {e} has wrong length for nvars={nvars}")
                 if min(e, default=0) < 0:
@@ -466,9 +486,6 @@ class XPoly:
 
     # -- predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_one(self) -> bool:
         z = (0,) * self.nvars
         return set(self.terms) == {z} and self.terms[z].is_one()
@@ -488,29 +505,6 @@ class XPoly:
             return self._constant(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def _combine(self, other: "XPoly", scale: int) -> "XPoly":
         """self + scale * other."""
         width = _width(*_bounds((self, other)))
@@ -529,18 +523,6 @@ class XPoly:
         return _unpack(acc, self.nvars, width, type(self))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = self._constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def div_exact(self, other: "XPoly") -> "XPoly":
         """Exact quotient q with q*other == self; raises NotDivisible."""
@@ -633,9 +615,6 @@ class XPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:

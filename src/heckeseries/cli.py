@@ -207,6 +207,7 @@ def run(argv=None) -> int:
 def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fmt = args.format
     lines: list[str] = []
+    ok = True
 
     if args.command == "omega":
         if args.prime is not None:
@@ -265,9 +266,6 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         else:
             lines.append(hecke_series_text(coeffs, tex=(fmt == "latex")))
             lines.append(f"verified against the expanded numerator: {'yes' if ok else 'NO'}")
-        if not ok:
-            _emit("\n".join(lines), args.out)
-            return 1
 
     elif args.command == "theorem2":
         qc = q3_in_generators()
@@ -283,9 +281,7 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             lines.append(hecke_series_text(qc.t, tex=(fmt == "latex")))
             lines.append(f"functional equation: {'holds' if feq else 'FAILS'}")
             lines.append(f"verified against the expanded denominator: {'yes' if images_ok else 'NO'}")
-        if not (feq and images_ok):
-            _emit("\n".join(lines), args.out)
-            return 1
+        ok = feq and images_ok
 
     elif args.command == "special":
         spec = specialize_nu(p_numerator(3, DEFAULT_ORDER))
@@ -300,11 +296,9 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
     elif args.command == "verify-all":
         ok = run_all(report=lines.append)
-        _emit("\n".join(lines), args.out)
-        return 0 if ok else 1
 
     _emit("\n".join(lines), args.out)
-    return 0
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
 )
 from .spherical import _hl_sums, omega_hl, sp_image_pbracket, sp_image_Ti, sp_image_Tp
-from .symmetric import to_msym, x0_weight
+from .symmetric import signatures, to_msym, x0_weight
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
@@ -101,26 +101,12 @@ def _generator_image_power(index: int) -> XPoly:
     return sp_image_Ti(index, 3)
 
 
-def hecke_image(e: HeckeExpr, n: int = 3) -> XPoly:
+def hecke_image(e: HeckeExpr) -> XPoly:
     """Ring-homomorphism extension of the spherical map to generator polynomials."""
-    if n != 3:
-        raise ValueError("generator images are wired for n = 3 only")
     return e.substitute({i: _generator_image_power(i) for i in range(4)})
 
 
 # -- series ----------------------------------------------------------
-
-
-def _ascending_chains(n: int, bound: int):
-    """All 0 <= d1 <= ... <= dn <= bound."""
-    def rec(k, lo):
-        if k == 0:
-            yield ()
-            return
-        for first in range(lo, bound + 1):
-            for rest in rec(k - 1, first):
-                yield (first,) + rest
-    return rec(n, 0)
 
 
 @lru_cache(maxsize=None)
@@ -146,18 +132,28 @@ def r_series(n: int, N: int) -> VSeries:
         raise ValueError(f"series order must be >= 0, got {N}")
     if N > SERIES_ORDER_BOUND:
         raise EnumerationTooLarge(f"series order {N} exceeds the bound {SERIES_ORDER_BOUND}")
-    by_top: list[list] = [[] for _ in range(N + 1)]
-    for chain in _ascending_chains(n, N):
-        by_top[chain[-1]].append(chain[::-1])
+    by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
     width, sums = _hl_sums(by_top, n, N)
     coeffs = []
     acc: dict = {}
     for delta, packed in enumerate(sums):
-        # v^delta collects every chain with top part m <= delta
+        # v^delta collects every signature with top part m <= delta
         _add_into(acc, packed)
         x0 = _key((delta,) + (0,) * n, width)
         coeffs.append(_unpack({k + x0: c for k, c in acc.items()}, n + 1, width))
     return VSeries(N, coeffs)
+
+
+def _times_linear_factors(acc: VSeries, sizes) -> VSeries:
+    """acc times (1 - x0 x_S v) over the subsets S of {1..n} with |S| in sizes,
+    where n + 1 is the number of variables of acc."""
+    nv, order = acc.nvars, acc.order
+    one = VSeries.one(order, nv)
+    for size in sizes:
+        for subset in combinations(range(1, nv), size):
+            exps = tuple(int(i == 0 or i in subset) for i in range(nv))
+            acc = acc * (one - VSeries.from_dict(order, nv, {1: XPoly.monomial(nv, exps)}))
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -165,21 +161,7 @@ def q_poly(n: int) -> VSeries:
     """The degree-2^n denominator: product of (1 - x0 x_S v) over subsets S of {1..n}."""
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
-    nv = n + 1
-    order = 2**n
-    acc = VSeries.one(order, nv)
-    one = VSeries.one(order, nv)
-    for size in range(n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            exps = [0] * nv
-            exps[0] = 1
-            for i in subset:
-                exps[i] = 1
-            factor = one - VSeries.from_dict(
-                order, nv, {1: XPoly.monomial(nv, tuple(exps))}
-            )
-            acc = acc * factor
-    return acc
+    return _times_linear_factors(VSeries.one(2**n, n + 1), range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -205,33 +187,20 @@ def _pad(s: VSeries, order: int) -> VSeries:
     return VSeries(order, s.coeffs + [XPoly(nv)] * (order - s.order))
 
 
-def p3_closed_form(B: int, N: int) -> VSeries:
-    """Independent closed form of the genus-3 numerator.
+def p3_closed_form(N: int) -> VSeries:
+    """Independent closed form of the genus-3 numerator, truncated at v^N.
 
     The kernel sum over omega(t(1, p^a, p^b)) weighted by p^(2a+b) (x0 v)^b,
     multiplied by the six linear factors (1 - x0 x_S v) with |S| in {1, 2}.
     """
-    if B < N:
-        raise ValueError("sum bound must cover the truncation order")
     nv = 4
     kernel_coeffs = []
     for b in range(N + 1):
         acc = XPoly(nv)
-        if b <= B:
-            for a in range(b + 1):
-                acc = acc + omega_hl((b, a, 0), 3) * PrimeLaurent.p_power(2 * a + b)
+        for a in range(b + 1):
+            acc = acc + omega_hl((b, a, 0), 3) * PrimeLaurent.p_power(2 * a + b)
         kernel_coeffs.append(acc * XPoly.monomial(nv, (b, 0, 0, 0)))
-    acc = VSeries(N, kernel_coeffs)
-    one = VSeries.one(N, nv)
-    for size in (1, 2):
-        for subset in combinations(range(1, 4), size):
-            exps = [1, 0, 0, 0]
-            for i in subset:
-                exps[i] = 1
-            acc = acc * (
-                one - VSeries.from_dict(N, nv, {1: XPoly.monomial(nv, tuple(exps))})
-            )
-    return acc
+    return _times_linear_factors(VSeries(N, kernel_coeffs), (1, 2))
 
 
 # -- indeterminate-coefficient solve ---------------------------------

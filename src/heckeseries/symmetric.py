@@ -7,7 +7,8 @@ A signature is a non-increasing tuple of non-negative integers of length n.
 
 from __future__ import annotations
 
-from itertools import permutations
+import operator
+from itertools import combinations_with_replacement, permutations
 
 from .algebra import PrimeLaurent, XPoly
 from .errors import IndexOutOfRange, LengthMismatch, NotSymmetric
@@ -16,7 +17,7 @@ Signature = tuple
 
 
 def check_signature(sig, n: int) -> Signature:
-    sig = tuple(int(v) for v in sig)
+    sig = tuple(map(operator.index, sig))
     if len(sig) != n:
         raise LengthMismatch(f"signature {sig} has length {len(sig)}, expected {n}")
     if any(v < 0 for v in sig):
@@ -26,13 +27,14 @@ def check_signature(sig, n: int) -> Signature:
     return sig
 
 
+def signatures(max_part: int, n: int):
+    """Every signature of length n with parts at most max_part, each once."""
+    return combinations_with_replacement(range(max_part, -1, -1), n)
+
+
 def msym(sig, n: int) -> XPoly:
     """Orbit sum of x1^i1 * ... * xn^in under S_n, all coefficients 1."""
-    sig = check_signature(sig, n)
-    terms = {}
-    for perm in set(permutations(sig)):
-        terms[(0,) + perm] = 1
-    return XPoly(n + 1, terms)
+    return from_msym({tuple(sig): 1}, n)
 
 
 def elem(i: int, n: int) -> XPoly:
@@ -89,10 +91,10 @@ def to_msym(a: XPoly) -> dict[Signature, PrimeLaurent]:
 
 def from_msym(decomp: dict, n: int, weight: int = 0) -> XPoly:
     """Inverse of to_msym: rebuild x0^weight * sum c_sig * msym(sig)."""
-    acc = XPoly(n + 1)
+    terms = {}
     for sig, c in decomp.items():
-        acc = acc + msym(sig, n) * c
-    if weight:
-        acc = acc * XPoly.monomial(n + 1, (weight,) + (0,) * n)
-    return acc
+        # distinct signatures have disjoint orbits
+        for perm in set(permutations(check_signature(sig, n))):
+            terms[(weight,) + perm] = c
+    return XPoly(n + 1, terms)
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
-
 from .algebra import PrimeLaurent, VSeries, XPoly
 from .golden import golden_decomposition, golden_order
 from .series import (
@@ -36,12 +34,7 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .symmetric import elem, from_msym, msym, to_msym
-
-
-def _signatures(max_part: int, n: int):
-    for parts in combinations_with_replacement(range(max_part, -1, -1), n):
-        yield tuple(sorted(parts, reverse=True))
+from .symmetric import elem, from_msym, msym, signatures, to_msym
 
 
 def check_golden_table():
@@ -56,7 +49,7 @@ def check_oracle_equivalence():
     """Closed form vs coset enumeration at concrete primes."""
     cases = 0
     for n, max_part, primes in ((1, 4, (2, 3, 5)), (2, 4, (2, 3, 5)), (3, 3, (2, 3))):
-        for lam in set(_signatures(max_part, n)):
+        for lam in signatures(max_part, n):
             for q in primes:
                 if omega_hl(lam, n).specialize_prime(q) != omega_cosets(lam, n, q):
                     return False, f"mismatch at lambda={lam}, n={n}, prime={q}"
@@ -122,7 +115,7 @@ def check_numerator_identity():
     num = p_numerator(3, DEFAULT_ORDER)  # raises NonVanishingTail on failure
     if num != _expected_p3():
         return False, "numerator differs from the published polynomial"
-    closed = p3_closed_form(DEFAULT_ORDER, DEFAULT_ORDER)
+    closed = p3_closed_form(DEFAULT_ORDER)
     if closed.truncate(6) != num or closed.degree() > 6:
         return False, "closed-form route disagrees"
     return True, "v^7..v^12 vanish; v^0..v^6 match; closed form agrees"
@@ -275,7 +268,7 @@ def _random_xpoly(rng, nvars=3, nterms=4, max_exp=3):
 def check_properties():
     """Randomized algebra properties and the sym construction cross-check."""
     rng = random.Random(20240824)
-    for lam in _signatures(6, 3):
+    for lam in signatures(6, 3):
         if to_msym(msym(lam, 3)) != {lam: PrimeLaurent.const(1)}:
             return False, f"msym round trip fails at {lam}"
     nv = 4

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
+from heckeseries.spherical import omega_hl
 from heckeseries.errors import (
     DivisionByZero,
     NonUnitConstantTerm,
@@ -61,6 +62,22 @@ class TestPrimeLaurent:
             PrimeLaurent({0: value})
         with pytest.raises(TypeError):
             PrimeLaurent.const(value)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PrimeLaurent({1.5: 1}),
+            lambda: PrimeLaurent({"1": 1}),
+            lambda: XPoly(2, {(0.9, 1): 1}),
+            lambda: XPoly(2, {(0, "1"): 1}),
+            lambda: omega_hl((2.7, 1, 0), 3),
+            lambda: omega_hl(("2", 1, 0), 3),
+        ],
+        ids=["laurent-float", "laurent-str", "xpoly-float", "xpoly-str", "signature-float", "signature-str"],
+    )
+    def test_inexact_exponent_raises_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
 
     def test_coefficients_are_canonical(self):
         a = pl({0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(0), 3: True})

@@ -253,6 +253,21 @@ class TestPlumbing:
         assert captured.out == ""
         assert captured.err == "heckeseries: error: coefficient of v^7 is nonzero\n"
 
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["theorem1"], "verified against the expanded numerator: NO"),
+            (["theorem2"], "verified against the expanded denominator: NO"),
+            (["verify-all"], "[FAIL] stub check"),
+        ],
+    )
+    def test_failed_verification_prints_then_exits_1(self, argv, last_line, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "image_mismatch", lambda exprs, expanded: 0)
+        monkeypatch.setattr(cli, "run_all", lambda report: report("[FAIL] stub check") or False)
+        code, out = invoke(capsys, argv)
+        assert code == 1
+        assert out.endswith(last_line + "\n")
+
     def test_python_m_runs_the_cli(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["heckeseries", "--help"])
         with pytest.raises(SystemExit) as exc:

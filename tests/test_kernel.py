@@ -109,6 +109,13 @@ def ref_laurent_neg(a):
     return ref_laurent_mul(a, PrimeLaurent({0: -1}))
 
 
+def ref_laurent_pow(a, k):
+    out = PrimeLaurent({0: 1})
+    for _ in range(k):
+        out = ref_laurent_mul(out, a)
+    return out
+
+
 def ref_add(a, b):
     res = dict(a.terms)
     for e, c in b.terms.items():
@@ -358,6 +365,10 @@ def test_add_sub_match_reference(ab):
     assert a - b == ref_add(a, ref_neg(b))
     assert_canonical(a - b)
     assert (a - a).is_zero()
+    one, half = XPoly.constant(a.nvars, 1), XPoly.constant(a.nvars, Fraction(1, 2))
+    assert 1 - a == ref_add(one, ref_neg(a))
+    assert a + Fraction(1, 2) == ref_add(a, half)
+    assert -a == ref_neg(a)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,6 +408,9 @@ def test_laurent_arithmetic_matches_reference(a, b):
         (b * a, ref_laurent_mul(a, b)),
         (a * 2, ref_laurent_mul(a, PrimeLaurent({0: 2}))),
         (Fraction(1, 2) - a, ref_laurent_add(PrimeLaurent({0: Fraction(1, 2)}), ref_laurent_neg(a))),
+        (1 + a, ref_laurent_add(PrimeLaurent({0: 1}), a)),
+        (2 - a, ref_laurent_add(PrimeLaurent({0: 2}), ref_laurent_neg(a))),
+        *((a**k, ref_laurent_pow(a, k)) for k in range(4)),
     ):
         assert type(got) is PrimeLaurent
         assert got.terms == expected.terms

@@ -128,23 +128,19 @@ class TestPNumerator:
 
 class TestClosedForm:
     def test_constant_term(self):
-        assert p3_closed_form(6, 6).coeffs[0] == XPoly.constant(4, 1)
+        assert p3_closed_form(6).coeffs[0] == XPoly.constant(4, 1)
 
     def test_v6_coefficient(self):
-        cf = p3_closed_form(DEFAULT_ORDER, DEFAULT_ORDER)
+        cf = p3_closed_form(DEFAULT_ORDER)
         expected = XPoly.monomial(4, (6, 0, 0, 0)) * (
             msym((3, 3, 3), 3) * PrimeLaurent.p_power(-3)
         )
         assert cf.coeffs[6] == expected
 
     def test_agrees_with_product_route(self):
-        cf = p3_closed_form(DEFAULT_ORDER, DEFAULT_ORDER)
+        cf = p3_closed_form(DEFAULT_ORDER)
         assert cf.truncate(6) == p_numerator(3, DEFAULT_ORDER)
         assert cf.degree() <= 6
-
-    def test_bound_must_cover_order(self):
-        with pytest.raises(ValueError):
-            p3_closed_form(4, 6)
 
 
 class TestHeckeImage:
