@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import (
-    PL_ONE,
     PL_ZERO,
     PrimeLaurent,
     VSeries,
@@ -209,66 +208,56 @@ def p3_closed_form(N: int) -> VSeries:
 def generator_monomials(x0_weight: int) -> list[tuple]:
     """Generator monomials (a,b,c,d) whose image has the given x0-weight.
 
-    T(p) contributes x0-weight 1, the three quadratic generators weight 2;
-    total generator degree is capped at the weight (matching the ansatz,
-    which includes T(p)^w at weight w).  Ordered by degree then tuple.
+    T(p) contributes x0-weight 1, the three quadratic generators weight 2.
+    Ordered by degree then tuple.
     """
     out = []
     for m in range(x0_weight // 2 + 1):
         a = x0_weight - 2 * m
         for b in range(m + 1):
             for c in range(m - b + 1):
-                d = m - b - c
-                if a + b + c + d <= x0_weight:
-                    out.append((a, b, c, d))
+                out.append((a, b, c, m - b - c))
     out.sort(key=lambda g: (sum(g), g))
     return out
 
 
+# keeps its name: the benchmark's tracer wraps it by name for its solve span
 def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
-    """Solve A x = b given augmented rows over PrimeLaurent.
+    """Solve A x = b given augmented rows over PrimeLaurent by back-substitution.
 
-    Bareiss fraction-free elimination to echelon form, exact over the
-    Laurent ring, then back-substitution with exact Laurent division.
-    Raises NoSolution / NonUniqueSolution, and NotLaurent when an unknown
-    is not Laurent in p.
+    An unknown's pivot is the last row where its column is nonzero (rows in
+    ascending signature order: its leading signature).  From the last row
+    up, a pivot row gives its unknown by exact division and any other row
+    must reduce to zero.  Raises NonUniqueSolution for a zero column,
+    NoSolution for a shared pivot row (not triangular) or an inconsistent
+    row, and NotLaurent when an unknown is not Laurent in p.
     """
     rows = [[PrimeLaurent._coerce(c) for c in r] for r in rows]
-    m = len(rows)
-    pivots = []
-    prev = PL_ONE
-    r = 0
+    pivot_col = {}
     for col in range(ncols):
-        pivot = next((i for i in range(r, m) if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        for i in range(r + 1, m):
-            if all(rows[i][j].is_zero() for j in range(col, ncols + 1)):
-                continue
-            factor = rows[i][col]
-            rows[i] = [
-                (lead * rows[i][j] - factor * rows[r][j]).div_exact(prev)
-                for j in range(ncols + 1)
-            ]
-        prev = lead
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, m):
-        if not rows[i][ncols].is_zero():
-            raise NoSolution("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise NonUniqueSolution(f"rank {len(pivots)} < {ncols} unknowns")
+        row = max((i for i, r in enumerate(rows) if not r[col].is_zero()), default=None)
+        if row is None:
+            raise NonUniqueSolution(f"unknown {col} has a zero column")
+        if row in pivot_col:
+            raise NoSolution(
+                f"system is not triangular: unknowns {pivot_col[row]} and {col} pivot on row {row}"
+            )
+        pivot_col[row] = col
     sol = [None] * ncols
-    for r, col in reversed(pivots):
-        acc = rows[r][ncols]
-        for j in range(col + 1, ncols):
-            acc = acc - sol[j] * rows[r][j]
-        try:
-            sol[col] = acc.div_exact(rows[r][col])
-        except NotDivisible as exc:
-            raise NotLaurent(f"unknown {col} is not Laurent in p") from exc
+    for i in reversed(range(len(rows))):
+        row, col = rows[i], pivot_col.get(i)
+        # every other nonzero column of this row pivots further down: solved
+        rem = row[ncols]
+        for j in range(ncols):
+            if j != col and not row[j].is_zero():
+                rem = rem - sol[j] * row[j]
+        if col is not None:
+            try:
+                sol[col] = rem.div_exact(row[col])
+            except NotDivisible as exc:
+                raise NotLaurent(f"unknown {col} is not Laurent in p") from exc
+        elif not rem.is_zero():
+            raise NoSolution("inconsistent linear system")
     return sol
 
 
@@ -276,8 +265,11 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
     """Write a symmetric x0-homogeneous polynomial as a generator polynomial.
 
     Builds the linear system in the monomial symmetric basis over all
-    generator monomials of matching x0-weight, solves it fraction-free,
-    certifies the solution Laurent in p and verifies it by substitution.
+    generator monomials of matching x0-weight and solves it by
+    back-substitution.  The system is triangular because the leads are
+    unimodular: the generator images' (x0-weight, leading signature)
+    vectors have determinant 1 and unit leading coefficients.  The solution
+    is certified Laurent in p and verified by substitution.
     """
     if target.terms and x0_weight(target) != x0_wt:
         raise NotSymmetric(f"target is not x0-homogeneous of weight {x0_wt}")

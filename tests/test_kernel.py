@@ -23,7 +23,15 @@ import pytest
 
 from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
 from heckeseries.errors import NotDivisible, VarMismatch
-from heckeseries.series import P_BRACKET, T_P, HeckeExpr, hecke_image, r_series
+from heckeseries.series import (
+    P_BRACKET,
+    T_P,
+    HeckeExpr,
+    express_in_generators,
+    generator_monomials,
+    hecke_image,
+    r_series,
+)
 from heckeseries.spherical import (
     _multiplicity_norm,
     _sgn,
@@ -304,6 +312,18 @@ def hecke_exprs(max_degree=3, max_terms=4):
     return st.dictionaries(gens, wide_laurents, max_size=max_terms).map(HeckeExpr)
 
 
+def weighted_hecke_exprs(max_weight=8, max_terms=4):
+    """(w, e) with every generator monomial of e at x0-weight w."""
+    return st.integers(0, max_weight).flatmap(
+        lambda w: st.tuples(
+            st.just(w),
+            st.dictionaries(
+                st.sampled_from(generator_monomials(w)), wide_laurents, max_size=max_terms
+            ).map(HeckeExpr),
+        )
+    )
+
+
 pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n)))
 divisions = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), nonzero(xpolys(n))))
 
@@ -540,6 +560,16 @@ def test_hecke_image_matches_reference(e):
     assert type(got) is XPoly and got.nvars == 4
     assert got == ref_hecke_image(e)
     assert_canonical(got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(weighted_hecke_exprs())
+@example((7, T_P**7 * Fraction(-1, 3) + T_P * P_BRACKET**3 * PrimeLaurent.p_power(-9)))
+@example((8, HeckeExpr({(0, 4, 0, 0): p + 1, (0, 0, 1, 3): PrimeLaurent.p_power(-2, Fraction(2, 3))})))
+def test_express_in_generators_round_trip(we):
+    # weights 7 and 8 lie beyond every system the theorems solve
+    w, e = we
+    assert express_in_generators(hecke_image(e), w) == e
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,10 +1,19 @@
 """Unit tests for the generating series, the numerator/denominator
 polynomials over the Hecke ring, and the indeterminate-coefficient solve."""
 
+from itertools import permutations
+from math import prod
+
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
-from heckeseries.errors import EnumerationTooLarge, NoSolution, NotLaurent, NotSymmetric
+from heckeseries.errors import (
+    EnumerationTooLarge,
+    NonUniqueSolution,
+    NoSolution,
+    NotLaurent,
+    NotSymmetric,
+)
 from heckeseries.series import (
     DEFAULT_ORDER,
     SERIES_ORDER_BOUND,
@@ -14,9 +23,11 @@ from heckeseries.series import (
     T1_P2,
     T2_P2,
     T_P,
+    _generator_image_power,
     _solve_fraction_free,
     express_in_generators,
     functional_eq_check,
+    generator_monomials,
     hecke_image,
     p3_closed_form,
     p3_in_generators,
@@ -27,7 +38,7 @@ from heckeseries.series import (
     specialize_nu,
 )
 from heckeseries.spherical import sp_image_pbracket, sp_image_Tp
-from heckeseries.symmetric import msym, to_msym
+from heckeseries.symmetric import msym, to_msym, x0_weight
 
 
 class TestRSeries:
@@ -177,10 +188,32 @@ class TestExpressInGenerators:
         assert sol == expected
 
     def test_solve_laurent_system(self):
-        # x = p, y = p^-2 from rows with negative p-exponents
+        # x = p, y = p^-2 from a triangular system with negative p-exponents:
+        # y pivots on row 2 (a non-unit entry), x on row 1, row 0 is a check
+        inv = PrimeLaurent.p_power(-1)
+        rows = [
+            [inv, p, 1 + inv],
+            [p**2, -inv, p**3 - inv**3],
+            [PrimeLaurent(), inv + inv**3, inv**3 + inv**5],
+        ]
+        assert _solve_fraction_free(rows, 2) == [p, inv**2]
+
+    def test_non_triangular_system_raises(self):
+        # both columns are nonzero in the last row, so both pivot on it
         inv = PrimeLaurent.p_power(-1)
         rows = [[PrimeLaurent.const(1), inv, p + inv**3], [p, PrimeLaurent.const(-1), p**2 - inv**2]]
-        assert _solve_fraction_free(rows, 2) == [p, inv**2]
+        with pytest.raises(NoSolution, match="not triangular"):
+            _solve_fraction_free(rows, 2)
+
+    def test_inconsistent_row_raises(self):
+        # x = p^-1 from row 1; row 0, which pivots no unknown, leaves 2 - 1
+        rows = [[p, 2], [1, PrimeLaurent.p_power(-1)]]
+        with pytest.raises(NoSolution, match="inconsistent"):
+            _solve_fraction_free(rows, 1)
+
+    def test_zero_column_raises(self):
+        with pytest.raises(NonUniqueSolution):
+            _solve_fraction_free([[1, 0, 1], [p, 0, p]], 2)
 
     def test_non_laurent_solution_raises(self):
         # (p - 1) x = 1 is solved by 1/(p - 1), which is not Laurent in p
@@ -204,6 +237,46 @@ class TestExpressInGenerators:
             except NoSolution:
                 continue
             assert other != base
+
+
+def _lead(img):
+    """The lex-largest signature of a symmetric image, with its coefficient."""
+    decomp = to_msym(img)
+    sig = max(decomp)
+    return sig, decomp[sig]
+
+
+def _det(m):
+    n = len(m)
+    return sum(
+        (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        * prod(m[i][perm[i]] for i in range(n))
+        for perm in permutations(range(n))
+    )
+
+
+class TestGeneratorLeads:
+    """The property the triangular solve of express_in_generators rests on."""
+
+    def test_generator_leads_are_unimodular(self):
+        vectors = []
+        for index in range(4):
+            img = _generator_image_power(index)
+            sig, coeff = _lead(img)
+            assert len(coeff.terms) == 1 and list(coeff.terms.values()) in ([1], [-1])
+            vectors.append((x0_weight(img),) + sig)
+        assert _det(vectors) in (1, -1)
+
+    def test_monomial_leads_distinct(self):
+        for w in range(11):
+            leads = [_lead(hecke_image(HeckeExpr({g: 1})))[0] for g in generator_monomials(w)]
+            assert len(set(leads)) == len(leads), w
+
+    def test_generator_monomial_counts(self):
+        counts = [len(generator_monomials(w)) for w in range(11)]
+        assert counts == [1, 1, 4, 4, 10, 10, 20, 20, 35, 35, 56]
+        for w in range(11):
+            assert all(a + 2 * (b + c + d) == w for a, b, c, d in generator_monomials(w))
 
 
 class TestTheorems:
