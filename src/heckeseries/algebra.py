@@ -188,6 +188,9 @@ class PrimeLaurent(_Ring):
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
@@ -614,6 +617,10 @@ class XPoly(_Ring):
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the PrimeLaurent, and so the scalar, it equals
+        z = (0,) * self.nvars
+        if self.terms.keys() <= {z}:
+            return hash(self.terms.get(z, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -669,6 +676,8 @@ class VSeries:
     def from_dict(order: int, nvars: int, entries: Mapping[int, XPoly]) -> "VSeries":
         coeffs = [XPoly(nvars) for _ in range(order + 1)]
         for k, c in entries.items():
+            if k < 0:
+                raise ValueError(f"negative power v^{k} in a series")
             if k <= order:
                 coeffs[k] = c
         return VSeries(order, coeffs)

@@ -20,8 +20,11 @@ from .algebra import (
     VSeries,
     XPoly,
     _add_into,
+    _bounds,
     _key,
+    _pack,
     _unpack,
+    _width,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -38,8 +41,8 @@ from .symmetric import signatures, to_msym, x0_weight
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
-#: hard bound on the truncation order of r_series; at this order the genus-3
-#: series takes 1.2-1.6 s to compute and 0.4 s to render as text (2-vCPU Xeon)
+#: hard bound on the truncation order of r_series; at this order r_series(3, N) takes
+#: 2.0-2.2 s and p_numerator's product and tail check 0.5 s more (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
@@ -145,14 +148,18 @@ def r_series(n: int, N: int) -> VSeries:
 
 def _times_linear_factors(acc: VSeries, sizes) -> VSeries:
     """acc times (1 - x0 x_S v) over the subsets S of {1..n} with |S| in sizes,
-    where n + 1 is the number of variables of acc."""
+    where n + 1 is the number of variables of acc, truncated at its order."""
     nv, order = acc.nvars, acc.order
-    one = VSeries.one(order, nv)
-    for size in sizes:
-        for subset in combinations(range(1, nv), size):
-            exps = tuple(int(i == 0 or i in subset) for i in range(nv))
-            acc = acc * (one - VSeries.from_dict(order, nv, {1: XPoly.monomial(nv, exps)}))
-    return acc
+    subsets = [s for size in sizes for s in combinations(range(1, nv), size)]
+    # a factor raises each x-degree by at most one; its coefficient 1 keeps the p-range
+    xdeg, pabs = _bounds(acc.coeffs)
+    width = _width(xdeg + len(subsets), pabs)
+    coeffs = [_pack(c, width) for c in acc.coeffs]
+    for subset in subsets:
+        shift = _key(tuple(int(i == 0 or i in subset) for i in range(nv)), width)
+        for k in range(order, 0, -1):  # top down: coeffs[k - 1] is not yet updated
+            _add_into(coeffs[k], coeffs[k - 1], -1, shift)
+    return VSeries(order, [_unpack(c, nv, width) for c in coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -165,25 +172,18 @@ def q_poly(n: int) -> VSeries:
 
 @lru_cache(maxsize=None)
 def p_numerator(n: int, N: int) -> VSeries:
-    """Numerator polynomial: r_series * q_poly with the vanishing tail checked.
+    """Numerator polynomial: r_series times Q_n's linear factors, with the vanishing tail checked.
 
     Asserts that coefficients v^(2^n - 1) .. v^N of the product vanish and
     returns the degree-(2^n - 2) polynomial part.
     """
     if N < 2**n + 4:
         raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
-    prod = r_series(n, N) * _pad(q_poly(n), N)
+    prod = _times_linear_factors(r_series(n, N), range(n + 1))
     for k in range(2**n - 1, N + 1):
         if prod.coeffs[k].terms:
             raise NonVanishingTail(f"coefficient of v^{k} is nonzero: {prod.coeffs[k]}")
     return prod.truncate(2**n - 2)
-
-
-def _pad(s: VSeries, order: int) -> VSeries:
-    if order <= s.order:
-        return s.truncate(order)
-    nv = s.nvars
-    return VSeries(order, s.coeffs + [XPoly(nv)] * (order - s.order))
 
 
 def p3_closed_form(N: int) -> VSeries:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .algebra import (
     PL_ONE,
@@ -80,22 +80,13 @@ def _sgn(perm: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _vandermonde(n: int) -> XPoly:
+def _pair_product(n: int, k: int) -> XPoly:
+    """prod_{1 <= i < j <= n} (x_i - p^(-k) x_j): the Vandermonde at k = 0 and
+    the deformed product at k = 1."""
+    unit = [tuple(int(m == i) for m in range(n + 1)) for i in range(n + 1)]
     acc = XPoly.constant(n + 1, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            acc = acc * (XPoly.variable(n + 1, i) - XPoly.variable(n + 1, j))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _deformed_product(n: int) -> XPoly:
-    """prod_{1 <= i < j <= n} (x_i - x_j / p)."""
-    inv_p = PrimeLaurent.p_power(-1)
-    acc = XPoly.constant(n + 1, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            acc = acc * (XPoly.variable(n + 1, i) - XPoly.variable(n + 1, j) * inv_p)
+    for i, j in combinations(range(1, n + 1), 2):
+        acc = acc * XPoly(n + 1, {unit[i]: 1, unit[j]: PrimeLaurent.p_power(-k, -1)})
     return acc
 
 
@@ -121,7 +112,7 @@ def _packed_orbit(n: int, width: int) -> tuple:
     """(sign of w, the bit offset of the key field of x_w(i) for each i,
     packed w(D)) for every permutation w of x1..xn, where D is the deformed
     product."""
-    d = _deformed_product(n)
+    d = _pair_product(n, 1)
     return tuple(
         (_sgn(w), tuple(width * (j + 1) for j in w), _pack(d.permute((0,) + w), width))
         for w in permutations(range(1, n + 1))
@@ -144,11 +135,11 @@ def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, lis
     norms = {cls: _multiplicity_norm(lam, n) for cls, lam in reps.items()}
     # the dividends' p-exponents lie in pshift + [-pabs(D), 0], and dividing
     # by a norm needs room for its p-range besides
-    _, dpabs = _bounds((_deformed_product(n),))
+    _, dpabs = _bounds((_pair_product(n, 1),))
     npabs = max((-c.min_exp() for c in norms.values()), default=0)
     width = _width(xdeg + n - 1, dpabs + npabs + abs(pshift))
     orbit = _packed_orbit(n, width)
-    vdm = _pack(_vandermonde(n), width)
+    vdm = _pack(_pair_product(n, 0), width)
     out = []
     for sigs in groups:
         totals: dict[tuple, dict] = {}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
+from heckeseries.series import HeckeExpr
 from heckeseries.spherical import omega_hl
 from heckeseries.errors import (
     DivisionByZero,
@@ -312,8 +313,48 @@ class TestVSeries:
         assert s.degree() == 4
         assert VSeries.from_dict(3, 2, {}).degree() == -1
 
+    def test_from_dict_rejects_negative_powers(self):
+        with pytest.raises(ValueError):
+            VSeries.from_dict(3, 2, {-1: XPoly.variable(2, 1)})
+        # entries above the order are dropped
+        assert VSeries.from_dict(1, 2, {2: XPoly.variable(2, 1)}) == VSeries.from_dict(1, 2, {})
+
     def test_json_round_trip(self):
         s = VSeries.from_dict(
             2, 2, {0: XPoly.constant(2, 1), 2: XPoly.monomial(2, (1, 1), -1)}
         )
         assert VSeries.from_json(s.to_json()) == s
+
+
+class TestHashing:
+    """Equal values hash equal: a constant hashes like the scalar it equals."""
+
+    @pytest.mark.parametrize(
+        "value, scalar",
+        [
+            (PrimeLaurent.const(1), 1),
+            (PrimeLaurent(), 0),
+            (PrimeLaurent.const(Fraction(-2, 3)), Fraction(-2, 3)),
+            (XPoly.constant(4, Fraction(1, 2)), Fraction(1, 2)),
+            (XPoly(4), 0),
+            (XPoly.constant(2, -7), -7),
+            (HeckeExpr.const(3), 3),
+            (HeckeExpr(), 0),
+        ],
+    )
+    def test_constant_hashes_like_its_scalar(self, value, scalar):
+        assert value == scalar
+        assert hash(value) == hash(scalar)
+        assert len({value, scalar}) == 1
+        assert value in {scalar} and scalar in {value}
+        assert {scalar: "found"}[value] == "found"
+
+    def test_constant_in_p_hashes_like_its_laurent(self):
+        x = XPoly.constant(3, p - 1)
+        assert x == p - 1 and hash(x) == hash(p - 1)
+        assert len({x, p - 1}) == 1
+
+    def test_equal_non_constants_hash_equal(self):
+        assert hash(pl({2: 1, -1: 3})) == hash(pl({-1: 3, 2: 1}))
+        a = XPoly(2, {(1, 0): p, (0, 1): 2})
+        assert hash(a) == hash(XPoly(2, {(0, 1): 2, (1, 0): p}))

@@ -11,13 +11,17 @@ before it became an XPoly over the generator names, and ``ref_hecke_image``
 is the hecke_image of that time: a sum of products of cached generator-image
 powers.  ``ref_r_series`` sums the generating series chain by chain, one
 ``omega_hl`` per chain, as ``r_series`` did before it grouped signatures.
+``ref_times_factors`` multiplies by the linear factors (1 - x0 x_S v) as
+plain ``VSeries`` products of binomials, and ``ref_numerator_product`` is
+the product ``p_numerator`` formed before it used them: ``r_series`` times
+the expanded denominator, zero-padded to the series order.
 They live only here, as the oracle the kernel must agree with.
 """
 
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -27,9 +31,13 @@ from heckeseries.series import (
     P_BRACKET,
     T_P,
     HeckeExpr,
+    _times_linear_factors,
     express_in_generators,
     generator_monomials,
     hecke_image,
+    p3_closed_form,
+    p_numerator,
+    q_poly,
     r_series,
 )
 from heckeseries.spherical import (
@@ -243,6 +251,24 @@ def ref_r_series(n, N):
                     laurent[pe + weight] = laurent.get(pe + weight, 0) + f
         coeffs.append(XPoly(n + 1, {(delta,) + e: PrimeLaurent(c) for e, c in acc.items()}))
     return VSeries(N, coeffs)
+
+
+def ref_times_factors(s, sizes):
+    """s times (1 - x0 x_S v) over the subsets S of {1..n} with |S| in sizes,
+    one VSeries product with a binomial series per factor."""
+    nv, order = s.nvars, s.order
+    one = VSeries.one(order, nv)
+    for size in sizes:
+        for subset in combinations(range(1, nv), size):
+            exps = tuple(int(i == 0 or i in subset) for i in range(nv))
+            s = s * (one - VSeries.from_dict(order, nv, {1: XPoly.monomial(nv, exps)}))
+    return s
+
+
+def ref_numerator_product(n, N):
+    """r_series(n, N) times the expanded denominator zero-padded to order N."""
+    q = ref_times_factors(VSeries.one(2**n, n + 1), range(n + 1))
+    return r_series(n, N) * VSeries(N, q.coeffs + [XPoly(n + 1)] * (N - q.order))
 
 
 def as_hecke(a):
@@ -524,6 +550,60 @@ def test_r_series_matches_per_chain_sum(n, N):
     for c in series.coeffs:
         assert_canonical(c)
 
+
+
+@pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2, 3) for N in range(2**n + 4, 13)])
+def test_numerator_product_matches_padded_product(n, N):
+    prod = _times_linear_factors(r_series(n, N), range(n + 1))
+    assert prod == ref_numerator_product(n, N)
+    assert p_numerator(n, N) == prod.truncate(2**n - 2)
+    # the in-place factor loop leaves zeros for _unpack to drop
+    for c in prod.coeffs:
+        assert_canonical(c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_poly_matches_binomial_products(n):
+    q = q_poly(n)
+    assert q == ref_times_factors(VSeries.one(2**n, n + 1), range(n + 1))
+    for c in q.coeffs:
+        assert_canonical(c)
+
+
+def test_p3_closed_form_matches_binomial_products():
+    kernel = VSeries(
+        8,
+        [
+            XPoly.monomial(4, (b, 0, 0, 0))
+            * sum(
+                (omega_hl((b, a, 0), 3) * PrimeLaurent.p_power(2 * a + b) for a in range(b + 1)),
+                XPoly(4),
+            )
+            for b in range(9)
+        ],
+    )
+    cf = p3_closed_form(8)
+    assert cf == ref_times_factors(kernel, (1, 2))
+    for c in cf.coeffs:
+        assert_canonical(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(xpolys(n + 1, max_exp=2, max_terms=3), min_size=1, max_size=5),
+            st.sets(st.integers(0, n), min_size=1),
+        )
+    )
+)
+def test_times_linear_factors_matches_binomial_products(case):
+    coeffs, sizes = case
+    s = VSeries(len(coeffs) - 1, coeffs)
+    prod = _times_linear_factors(s, sorted(sizes))
+    assert prod == ref_times_factors(s, sorted(sizes))
+    for c in prod.coeffs:
+        assert_canonical(c)
 
 
 # -- HeckeExpr: an XPoly over the generator names ---------------------------
