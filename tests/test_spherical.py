@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from heckeseries import spherical, verify
 from heckeseries.algebra import PrimeLaurent, XPoly, p
 from heckeseries.errors import (
     EnumerationTooLarge,
@@ -13,6 +14,9 @@ from heckeseries.errors import (
 )
 from heckeseries.golden import golden_decomposition, golden_order
 from heckeseries.spherical import (
+    _compositions,
+    _coset_buckets,
+    _valuation_table,
     coset_count,
     omega_cosets,
     omega_hl,
@@ -169,9 +173,112 @@ class TestCosetOracle:
             for q in (2, 3):
                 assert omega_hl(lam, 3).specialize_prime(q) == omega_cosets(lam, 3, q)
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
+        # the guard refuses before the valuation table is built
+        def refuse(prime, delta):
+            raise AssertionError(f"valuation table built for prime^{delta}")
+
+        monkeypatch.setattr(spherical, "_valuation_table", refuse)
         with pytest.raises(EnumerationTooLarge):
             omega_cosets((9, 0, 0), 3, 5)
+
+    def test_rank_four_is_not_wired(self):
+        with pytest.raises(IndexOutOfRange):
+            omega_cosets((1, 0, 0, 0), 4, 2)
+
+
+# -- the coset enumeration against the per-candidate loops it replaced --
+
+
+def _ref_valuation(value, prime, cap):
+    if value == 0:
+        return cap
+    v = 0
+    while value % prime == 0 and v < cap:
+        value //= prime
+        v += 1
+    return v
+
+
+def _ref_types(n, prime, d, delta):
+    """The SNF valuation type of every HNF matrix with diagonal prime^d, one at a time."""
+    if n == 1:
+        yield (delta,)
+        return
+    if n == 2:
+        d1, d2 = d
+        for a in range(prime**d2):
+            v1 = min(d1, d2, _ref_valuation(a, prime, delta))
+            yield (v1, delta - v1)
+        return
+    d1, d2, d3 = d
+    q2, q3 = prime**d2, prime**d3
+    pairs_12 = d1 + d2
+    pairs_13 = d1 + d3
+    pairs_23 = d2 + d3
+    minor_base = min(pairs_12, pairs_13, pairs_23)
+    for a in range(q2):
+        va = _ref_valuation(a, prime, delta)
+        v1a = min(d1, d2, d3, va)
+        m_a = min(minor_base, d3 + va)
+        for b in range(q3):
+            vb = _ref_valuation(b, prime, delta)
+            v1ab = min(v1a, vb)
+            qb = q2 * b
+            for c in range(q3):
+                vc = _ref_valuation(c, prime, delta)
+                v1 = min(v1ab, vc)
+                v2 = min(m_a, d1 + vc, _ref_valuation(a * c - qb, prime, delta))
+                yield (v1, v2 - v1, delta - v2)
+
+
+def ref_coset_buckets(n, prime, delta):
+    buckets = {}
+    for d in _compositions(delta, n):
+        for typ in _ref_types(n, prime, d, delta):
+            per_d = buckets.setdefault(typ, {})
+            per_d[d] = per_d.get(d, 0) + 1
+    return buckets
+
+
+def _oracle_strata():
+    """Every (n, prime, delta) whose buckets verify's oracle check reads."""
+    strata = set()
+    real = spherical._coset_buckets
+
+    def record(n, prime, delta):
+        strata.add((n, prime, delta))
+        return real(n, prime, delta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spherical, "_coset_buckets", record)
+        assert verify.check_oracle_equivalence()[0]
+    return sorted(strata)
+
+
+class TestCosetBuckets:
+    def test_matches_per_candidate_loops(self):
+        strata = _oracle_strata()
+        assert {(3, 2, 6), (3, 3, 6), (2, 5, 4), (1, 5, 0)} <= set(strata)
+        strata += [(3, q, delta) for q in (5, 7) for delta in range(3)]
+        for n, q, delta in strata:
+            assert _coset_buckets.__wrapped__(n, q, delta) == ref_coset_buckets(n, q, delta), (n, q, delta)
+
+    def test_each_candidate_counted_once(self):
+        strata = [(1, 7, 3), (2, 2, 12), (2, 7, 5), (3, 2, 8), (3, 3, 6), (3, 5, 3), (3, 7, 2)]
+        for n, q, delta in strata:
+            totals = {}
+            for per_d in _coset_buckets(n, q, delta).values():
+                for d, count in per_d.items():
+                    totals[d] = totals.get(d, 0) + count
+            expected = {d: q ** sum(i * di for i, di in enumerate(d)) for d in _compositions(delta, n)}
+            assert totals == expected, (n, q, delta)
+
+    def test_valuation_table(self):
+        for q, delta in ((2, 0), (2, 7), (3, 6), (5, 3)):
+            table = _valuation_table(q, delta)
+            assert len(table) == q**delta
+            assert list(table) == [_ref_valuation(x, q, delta) for x in range(q**delta)]
 
 
 class TestSymplecticImages:
