@@ -691,10 +691,14 @@ class VSeries:
         return self.coeffs[0].nvars
 
     def __add__(self, other: "VSeries") -> "VSeries":
+        if not isinstance(other, VSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return VSeries(n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other: "VSeries") -> "VSeries":
+        if not isinstance(other, VSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return VSeries(n, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 

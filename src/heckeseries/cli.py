@@ -45,8 +45,13 @@ PRIME_BOUND = 10**6
 #: 2 s.  With --prime, OMEGA_OUTPUT_BOUND applies
 LAMBDA_PART_BOUND = 120
 #: largest output, in bytes, of omega --prime (with or without --oracle), as
-#: overestimated by _specialized_size before anything is computed
+#: overestimated by _specialized_size before anything is computed, and of series
 OMEGA_OUTPUT_BOUND = 10**6
+#: largest series order per genus whose JSON stays under OMEGA_OUTPUT_BOUND:
+#: genus 3 writes 887 126 bytes at order 14 and 1 157 631 at 15.  Text and
+#: LaTeX (at most 534 061 bytes) and genus 1 and 2 (at most 151 349) stay
+#: under it up to SERIES_ORDER_BOUND
+SERIES_JSON_ORDER_BOUND = {1: SERIES_ORDER_BOUND, 2: SERIES_ORDER_BOUND, 3: 14}
 
 
 def _parse_lambda(text: str, n: int = 3):
@@ -252,6 +257,12 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
                 lines.append(f"{name} = {_render_xpoly(v, fmt)}")
 
     elif args.command == "series":
+        bound = SERIES_JSON_ORDER_BOUND[args.genus]
+        if fmt == "json" and args.order > bound:
+            raise EnumerationTooLarge(
+                f"series of genus {args.genus} in JSON is over {OMEGA_OUTPUT_BOUND} bytes "
+                f"past order {bound}"
+            )
         lines.append(_render_series(r_series(args.genus, args.order), fmt))
 
     elif args.command == "numerator":

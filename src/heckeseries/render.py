@@ -50,8 +50,27 @@ def laurent_text(c: PrimeLaurent, tex: bool = False) -> str:
 
 
 def _sym_name(sig, tex: bool) -> str:
+    if not any(sig):  # msym of the zero signature is 1
+        return ""
     body = ",".join(str(v) for v in sig)
     return f"\\mathit{{sym}}_{{{body}}}" if tex else f"sym[{body}]"
+
+
+def _sum_text(pairs, tex: bool) -> str:
+    """The sum of one "c * name" term per (coefficient, name) pair: the name
+    alone for the coefficient 1, the coefficient alone for the unit term (no
+    name), and "0" for no pairs."""
+    sep = "" if tex else " * "
+    parts = []
+    for c, name in pairs:
+        coeff = laurent_text(c, tex)
+        if not name:
+            parts.append(coeff)
+        elif coeff == "1":
+            parts.append(name)
+        else:
+            parts.append(f"{coeff}{sep}{name}")
+    return " + ".join(parts) or "0"
 
 
 def symmetric_text(a: XPoly, tex: bool = False) -> str:
@@ -60,61 +79,29 @@ def symmetric_text(a: XPoly, tex: bool = False) -> str:
     Signatures appear in ascending lexicographic order; an x0-power
     prefixes the whole sum when present.
     """
-    if a.is_zero():
-        return "0"
     w = x0_weight(a)
     decomp = to_msym(a)
-    parts = []
-    for sig in sorted(decomp):
-        coeff = laurent_text(decomp[sig], tex)
-        if sig == (0,) * (a.nvars - 1):
-            parts.append(coeff)
-        elif coeff == "1":
-            parts.append(_sym_name(sig, tex))
-        else:
-            sep = "" if tex else " * "
-            parts.append(f"{coeff}{sep}{_sym_name(sig, tex)}")
-    body = " + ".join(parts)
+    body = _sum_text(((decomp[sig], _sym_name(sig, tex)) for sig in sorted(decomp)), tex)
     if w == 0:
         return body
-    x0 = f"x0^{w}" if not tex else (f"x_0^{{{w}}}" if w > 1 else "x_0")
-    if w == 1 and not tex:
-        x0 = "x0"
-    sep = "" if tex else " * "
-    return f"{x0}{sep}({body})" if len(parts) > 1 else f"{x0}{sep}{parts[0]}"
+    if len(decomp) > 1:
+        body = f"({body})"
+    x0 = monomial_text((w,), ("x_0" if tex else "x0",), tex)
+    return f"{x0}{'' if tex else ' * '}{body}"
 
 
 def hecke_text(e: HeckeExpr, tex: bool = False) -> str:
-    if e.is_zero():
-        return "0"
     names = (
         ("\\mathbf{T}(p)", "\\mathbf{T}_1(p^2)", "\\mathbf{T}_2(p^2)", "[\\mathbf{p}]_3")
         if tex
         else GENERATOR_NAMES
     )
-    parts = []
-    for g, c in e.sorted_terms():
-        mono = monomial_text(g, names, tex)
-        coeff = laurent_text(c, tex)
-        if not mono:
-            parts.append(coeff)
-        elif coeff == "1":
-            parts.append(mono)
-        else:
-            sep = "" if tex else " * "
-            parts.append(f"{coeff}{sep}{mono}")
-    return " + ".join(parts)
+    return _sum_text(((c, monomial_text(g, names, tex)) for g, c in e.sorted_terms()), tex)
 
 
 def series_text(s: VSeries, tex: bool = False) -> str:
-    lines = []
-    for k, c in enumerate(s.coeffs):
-        lines.append(f"v^{k}: {symmetric_text(c, tex) if c.terms else '0'}")
-    return "\n".join(lines)
+    return "\n".join(f"v^{k}: {symmetric_text(c, tex)}" for k, c in enumerate(s.coeffs))
 
 
 def hecke_series_text(coeffs, tex: bool = False) -> str:
-    lines = []
-    for k, e in enumerate(coeffs):
-        lines.append(f"v^{k}: {hecke_text(e, tex)}")
-    return "\n".join(lines)
+    return "\n".join(f"v^{k}: {hecke_text(e, tex)}" for k, e in enumerate(coeffs))

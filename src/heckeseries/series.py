@@ -261,29 +261,36 @@ def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
     return sol
 
 
+@lru_cache(maxsize=None)
+def _generator_basis(x0_wt: int) -> tuple[tuple, tuple]:
+    """The generator monomials of the x0-weight and, for each, the monomial
+    basis decomposition of its image as (signature, coefficient) pairs."""
+    monomials = tuple(generator_monomials(x0_wt))
+    decomps = (to_msym(hecke_image(HeckeExpr({g: 1}))).items() for g in monomials)
+    return monomials, tuple(map(tuple, decomps))
+
+
 def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
     """Write a symmetric x0-homogeneous polynomial as a generator polynomial.
 
     Builds the linear system in the monomial symmetric basis over all
-    generator monomials of matching x0-weight and solves it by
-    back-substitution.  The system is triangular because the leads are
-    unimodular: the generator images' (x0-weight, leading signature)
-    vectors have determinant 1 and unit leading coefficients.  The solution
-    is certified Laurent in p and verified by substitution.
+    generator monomials of matching x0-weight, whose images are decomposed
+    once per weight, and solves it by back-substitution.  The system is
+    triangular because the leads are unimodular: the generator images'
+    (x0-weight, leading signature) vectors have determinant 1 and unit
+    leading coefficients.  The solution is certified Laurent in p and
+    verified by substitution.
     """
     if target.terms and x0_weight(target) != x0_wt:
         raise NotSymmetric(f"target is not x0-homogeneous of weight {x0_wt}")
-    monomials = generator_monomials(x0_wt)
-    images = [hecke_image(HeckeExpr({g: 1})) for g in monomials]
-    decomps = [to_msym(img) for img in images]
+    monomials, decomps = _generator_basis(x0_wt)
+    ncols = len(monomials)
     target_decomp = to_msym(target) if target.terms else {}
-    sigs = sorted(set().union(*decomps, target_decomp))
-    rows = []
-    for sig in sigs:
-        row = [d.get(sig, PL_ZERO) for d in decomps]
-        row.append(target_decomp.get(sig, PL_ZERO))
-        rows.append(row)
-    sol = _solve_fraction_free(rows, len(monomials))
+    rows = {sig: [PL_ZERO] * ncols + [c] for sig, c in target_decomp.items()}
+    for col, decomp in enumerate(decomps):
+        for sig, c in decomp:
+            rows.setdefault(sig, [PL_ZERO] * (ncols + 1))[col] = c
+    sol = _solve_fraction_free([rows[sig] for sig in sorted(rows)], ncols)
     result = HeckeExpr(dict(zip(monomials, sol)))
     if hecke_image(result) != target:
         raise NoSolution("solution failed the substitution check")

@@ -58,35 +58,22 @@ def to_msym(a: XPoly) -> dict[Signature, PrimeLaurent]:
     """Decompose a symmetric polynomial into the monomial basis.
 
     The input must be symmetric in x1..xn (x0 is a spectator of uniform
-    weight); returns {signature: coefficient} such that
-    a = sum c_sig * x0^w * msym(sig).  Certifying: the reconstruction
-    is exact or NotSymmetric is raised.
+    weight); returns {signature: coefficient}, signatures descending, such
+    that a = sum c_sig * x0^w * msym(sig).  The coefficient on msym(sig) is
+    the coefficient at the exponent sig itself, so it is read, not solved
+    for.  Certifying: NotSymmetric is raised unless every term carries the
+    coefficient of its orbit and the orbits met are complete.
     """
-    n = a.nvars - 1
-    w = x0_weight(a)
-    rem = dict(a.terms)
+    x0_weight(a)  # raises NotSymmetric on mixed x0-weights
     out: dict[Signature, PrimeLaurent] = {}
-    # every key has x0-exponent w, and keys are only ever deleted, so the
-    # leading remaining key is the next one left in one descending sort
-    for lead in sorted(rem, reverse=True):
-        c = rem.get(lead)
-        if c is None:
-            continue
-        sig = lead[1:]
-        if any(sig[i] < sig[i + 1] for i in range(n - 1)):
-            raise NotSymmetric(f"leading exponent {sig} is not non-increasing")
-        out[sig] = c
-        for perm in set(permutations(sig)):
-            e = (w,) + perm
-            s = rem.get(e)
-            if s is None:
-                raise NotSymmetric(f"missing orbit term {e}")
-            s = s - c
-            if s.terms:
-                rem[e] = s
-            else:
-                del rem[e]
-    return out
+    for e, c in a.terms.items():
+        sig = tuple(sorted(e[1:], reverse=True))
+        if out.setdefault(sig, c) != c:
+            raise NotSymmetric(f"term {e} differs in coefficient from its orbit {sig}")
+    # each term lies in exactly one orbit, so the counts match iff no term is missing
+    if sum(len(set(permutations(sig))) for sig in out) != len(a.terms):
+        raise NotSymmetric("an orbit is missing terms")
+    return {sig: out[sig] for sig in sorted(out, reverse=True)}
 
 
 def from_msym(decomp: dict, n: int, weight: int = 0) -> XPoly:

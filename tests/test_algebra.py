@@ -1,5 +1,6 @@
 """Unit tests for the exact arithmetic layer."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -318,6 +319,14 @@ class TestVSeries:
             VSeries.from_dict(3, 2, {-1: XPoly.variable(2, 1)})
         # entries above the order are dropped
         assert VSeries.from_dict(1, 2, {2: XPoly.variable(2, 1)}) == VSeries.from_dict(1, 2, {})
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_non_series_operand_raises_type_error(self, op):
+        s = VSeries.one(2, 2)
+        with pytest.raises(TypeError):
+            op(s, 1)
+        with pytest.raises(TypeError):
+            op(1, s)
 
     def test_json_round_trip(self):
         s = VSeries.from_dict(

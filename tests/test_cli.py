@@ -1,5 +1,6 @@
 """Command-line interface tests: pinned output, determinism, exit codes."""
 
+import hashlib
 import json
 import re
 import runpy
@@ -164,6 +165,50 @@ class TestOutputGuard:
                 assert code == 0
                 assert len(out.encode()) <= size
                 assert max(len(digits) for digits in re.findall(r"\d+", out)) <= longest
+
+
+class TestSeriesOutputGuard:
+    """series refuses, before computing, any request whose output passes OMEGA_OUTPUT_BOUND."""
+
+    #: SHA-256 of series --genus 3 --order 20 before the guard, per format
+    ORDER_20_SHA256 = {
+        "text": "7fef2b301abef9bb1ade4767a9c383930e8e502646ec815f7a889721eeabcd53",
+        "latex": "2a229b50ec8bce47edb90524894ca4329d928937bf60f5712af756f514b596e0",
+    }
+
+    def test_largest_accepted_json_order_stays_under_the_bound(self, capsys):
+        code, out = invoke(capsys, ["--format", "json", "series", "--genus", "3", "--order", "14"])
+        assert code == 0
+        assert len(out.encode()) <= OMEGA_OUTPUT_BOUND
+
+    @pytest.mark.parametrize("order", ["15", "20"])
+    def test_oversized_json_is_usage_error(self, order, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("computed a refused series")
+
+        monkeypatch.setattr(cli, "r_series", refuse)
+        path = tmp_path / "series.json"
+        code = run(["--format", "json", "--out", str(path), "series", "--genus", "3", "--order", order])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not path.exists()
+        assert captured.err.startswith("heckeseries: error: series of genus 3 ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "latex"])
+    def test_text_and_latex_unchanged_at_the_order_bound(self, fmt, capsys):
+        argv = ["--format", fmt, "series", "--genus", "3", "--order", str(SERIES_ORDER_BOUND)]
+        code, out = invoke(capsys, argv)
+        assert code == 0
+        assert len(out.encode()) <= OMEGA_OUTPUT_BOUND
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ORDER_20_SHA256[fmt]
+
+    @pytest.mark.parametrize("genus", ["1", "2"])
+    def test_low_genus_json_accepted_at_the_order_bound(self, genus, capsys):
+        argv = ["--format", "json", "series", "--genus", genus, "--order", str(SERIES_ORDER_BOUND)]
+        code, out = invoke(capsys, argv)
+        assert code == 0
+        assert len(out.encode()) <= OMEGA_OUTPUT_BOUND
 
 
 class TestGoldenOutput:

@@ -15,6 +15,9 @@ powers.  ``ref_r_series`` sums the generating series chain by chain, one
 plain ``VSeries`` products of binomials, and ``ref_numerator_product`` is
 the product ``p_numerator`` formed before it used them: ``r_series`` times
 the expanded denominator, zero-padded to the series order.
+``ref_to_msym`` decomposes into the monomial basis as ``to_msym`` did before
+it read the basis: it subtracts each lead's coefficient from every term of
+the lead's orbit in a remainder.
 They live only here, as the oracle the kernel must agree with.
 """
 
@@ -26,7 +29,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
-from heckeseries.errors import NotDivisible, VarMismatch
+from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
     T_P,
@@ -48,10 +51,10 @@ from heckeseries.spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from heckeseries.symmetric import check_signature
+from heckeseries.symmetric import check_signature, from_msym, to_msym
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -317,11 +320,41 @@ def ref_hecke_to_json(e):
     return {"terms": [{"g": list(g), "c": c.to_json()} for g, c in terms]}
 
 
+def ref_to_msym(a):
+    n = a.nvars - 1
+    weights = {e[0] for e in a.terms}
+    if len(weights) > 1:
+        raise NotSymmetric(f"mixed x0-weights {sorted(weights)}")
+    w = weights.pop() if weights else 0
+    rem = dict(a.terms)
+    out = {}
+    for lead in sorted(rem, reverse=True):
+        c = rem.get(lead)
+        if c is None:
+            continue
+        sig = lead[1:]
+        if any(sig[i] < sig[i + 1] for i in range(n - 1)):
+            raise NotSymmetric(f"leading exponent {sig} is not non-increasing")
+        out[sig] = c
+        for perm in set(permutations(sig)):
+            e = (w,) + perm
+            s = rem.get(e)
+            if s is None:
+                raise NotSymmetric(f"missing orbit term {e}")
+            s = s - c
+            if s.terms:
+                rem[e] = s
+            else:
+                del rem[e]
+    return out
+
+
 # -- strategies ----------------------------------------------------------
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 laurents = st.dictionaries(st.integers(-4, 4), rationals, max_size=3).map(PrimeLaurent)
 wide_laurents = st.dictionaries(st.integers(-6, 6), rationals, max_size=4).map(PrimeLaurent)
+nonzero_laurents = laurents.filter(lambda c: not c.is_zero())
 
 
 def xpolys(nvars, max_exp=3, max_terms=5):
@@ -336,6 +369,17 @@ def nonzero(polys):
 def hecke_exprs(max_degree=3, max_terms=4):
     gens = st.tuples(*[st.integers(0, 2)] * 4).filter(lambda g: sum(g) <= max_degree)
     return st.dictionaries(gens, wide_laurents, max_size=max_terms).map(HeckeExpr)
+
+
+def msym_decomps(min_nvars=1):
+    """(n, w, decomposition): nonzero coefficients on signatures of length n."""
+    def decomps(n):
+        sigs = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: tuple(sorted(v, reverse=True))
+        )
+        return st.tuples(st.just(n), st.integers(0, 3), st.dictionaries(sigs, nonzero_laurents, max_size=4))
+
+    return st.integers(min_nvars, 4).flatmap(decomps)
 
 
 def weighted_hecke_exprs(max_weight=8, max_terms=4):
@@ -604,6 +648,43 @@ def test_times_linear_factors_matches_binomial_products(case):
     assert prod == ref_times_factors(s, sorted(sizes))
     for c in prod.coeffs:
         assert_canonical(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(msym_decomps())
+def test_to_msym_matches_subtracting_reference(case):
+    n, w, decomp = case
+    a = from_msym(decomp, n, w)
+    got, expected = to_msym(a), ref_to_msym(a)
+    assert got == expected == decomp
+    assert list(got) == list(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(msym_decomps(min_nvars=2), st.sampled_from(["drop", "change", "stray", "mixed"]), st.data())
+def test_to_msym_refuses_what_the_reference_refuses(case, kind, data):
+    n, w, decomp = case
+    terms = dict(from_msym(decomp, n, w).terms)
+    # terms whose orbit has more than one element
+    moved = sorted(e for e in terms if len(set(e[1:])) > 1)
+    if kind == "drop":
+        assume(moved)
+        del terms[data.draw(st.sampled_from(moved))]
+    elif kind == "change":
+        non_leads = [e for e in moved if list(e[1:]) != sorted(e[1:], reverse=True)]
+        assume(non_leads)
+        e = data.draw(st.sampled_from(non_leads))
+        terms[e] = terms[e] + data.draw(nonzero_laurents)
+    else:
+        assume(kind == "stray" or terms)
+        x = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda v: len(set(v)) > 1))
+        e = (w + (kind == "mixed"),) + tuple(x)
+        assume(e not in terms)
+        terms[e] = data.draw(nonzero_laurents)
+    a = XPoly(n + 1, terms)
+    for decompose in (to_msym, ref_to_msym):
+        with pytest.raises(NotSymmetric):
+            decompose(a)
 
 
 # -- HeckeExpr: an XPoly over the generator names ---------------------------

@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from heckeseries import series
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
 from heckeseries.errors import (
     EnumerationTooLarge,
@@ -23,6 +24,7 @@ from heckeseries.series import (
     T1_P2,
     T2_P2,
     T_P,
+    _generator_basis,
     _generator_image_power,
     _solve_fraction_free,
     express_in_generators,
@@ -166,6 +168,12 @@ class TestHeckeImage:
         assert hecke_image(e) == sp_image_Tp(3) * PrimeLaurent.p_power(-2)
 
 
+def theorem_systems():
+    """(target, x0-weight) of the ten systems p3_in_generators and q3_in_generators solve."""
+    num, q = p_numerator(3, DEFAULT_ORDER), q_poly(3)
+    return [(num.coeffs[k], k) for k in range(7)] + [(q.coeffs[k], k) for k in (2, 3, 4)]
+
+
 class TestExpressInGenerators:
     def test_numerator_v2(self):
         num = p_numerator(3, DEFAULT_ORDER)
@@ -223,6 +231,37 @@ class TestExpressInGenerators:
     def test_wrong_weight_rejected(self):
         with pytest.raises(NotSymmetric):
             express_in_generators(q_poly(3).coeffs[2], 3)
+
+    def test_non_symmetric_target_raises(self):
+        target = q_poly(3).coeffs[2] + XPoly.monomial(4, (2, 3, 0, 0))
+        with pytest.raises(NotSymmetric):
+            express_in_generators(target, 2)
+
+    def test_cached_basis_matches_fresh_recomputation(self):
+        for target, w in theorem_systems():
+            express_in_generators(target, w)
+        for w in range(7):
+            cached = _generator_basis(w)
+            assert cached == _generator_basis.__wrapped__(w)
+            assert type(cached[0]) is tuple and type(cached[1]) is tuple
+            assert all(type(decomp) is tuple for decomp in cached[1])
+
+    def test_images_computed_once_per_weight(self, monkeypatch):
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return hecke_image(e)
+
+        monkeypatch.setattr(series, "hecke_image", counted)
+        _generator_basis.cache_clear()
+        for target, w in theorem_systems():
+            express_in_generators(target, w)
+        # weights 0..6 have 1, 1, 4, 4, 10, 10 and 20 generator monomials: 50
+        # images, against 68 for one basis per system; each system adds one
+        # substitution check
+        assert len(calls) == 50 + 10
+        assert _generator_basis.cache_info().misses == 7
 
     def test_perturbed_target_changes_solution(self):
         # full column rank: a basis perturbation of the right-hand side is
