@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import operator
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -165,12 +166,14 @@ class PrimeLaurent(_Ring):
 
     def div_exact(self, other: "PrimeLaurent") -> "PrimeLaurent":
         """Exact Laurent quotient; raises NotDivisible if none exists."""
-        other = self._coerce(other)
-        if other.is_zero():
+        divisor = self._coerce(other)
+        if divisor is NotImplemented:
+            raise TypeError(f"cannot divide a PrimeLaurent by {type(other).__name__}")
+        if divisor.is_zero():
             raise DivisionByZero("division by zero Laurent polynomial")
         if self.is_zero():
             return PL_ZERO
-        a, b = self.terms, other.terms
+        a, b = self.terms, divisor.terms
         width = _width(0, max(map(abs, a)) + max(map(abs, b)))
         return PrimeLaurent._raw(_div_packed(a, b, 0, width))
 
@@ -254,7 +257,10 @@ def monomial_text(exps: tuple, names, tex: bool = False) -> str:
 # comparing keys is a monomial order: lex on x_{n-1} .. x_0, then p.  The
 # top bit of every x field stays clear; division uses it as a guard bit.
 # Sums and products may leave zeros and integral Fractions; _unpack and
-# PrimeLaurent._raw drop and demote them (see _exact).
+# PrimeLaurent._raw drop and demote them (see _exact).  Products,
+# substitutions and series reciprocals clear denominators once at their
+# boundary (_clear), run the kernel loops on ints and divide each result term
+# once (_over).
 
 
 def _width(xdeg: int, pabs: int) -> int:
@@ -334,6 +340,28 @@ def _extent(packed: dict, nvars: int, width: int) -> tuple[list, int, int]:
                 degs[i] = f
             x >>= width
     return degs, min(pes), max(pes)
+
+
+def _clear(packed: dict) -> tuple[dict, int]:
+    """(numerators, d): packed times d as ints, d the lcm of its
+    denominators; packed itself and 1 when every coefficient is an int."""
+    d = lcm(*{c.denominator for c in packed.values()})
+    if d == 1:
+        return packed, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in packed.items()}, d
+
+
+def _clear_all(packs: list) -> tuple[list, int]:
+    """(numerators, d): each packed dict of packs times d as ints, d the lcm
+    of all their denominators."""
+    cleared = [_clear(a) for a in packs]
+    d = lcm(*(e for _, e in cleared))
+    return [a if e == d else {k: c * (d // e) for k, c in a.items()} for a, e in cleared], d
+
+
+def _over(packed: dict, d: int) -> dict:
+    """packed divided by d, zeros dropped; packed itself when d is 1."""
+    return packed if d == 1 else {k: _cdiv(c, d) for k, c in packed.items() if c}
 
 
 def _add_into(acc: dict, b: dict, scale=1, offset: int = 0) -> None:
@@ -521,20 +549,24 @@ class XPoly(_Ring):
             return NotImplemented
         (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
         width = _width(xa + xb, pa + pb)
+        a, da = _clear(_pack(self, width))
+        b, db = _clear(_pack(other, width))
         acc: dict = {}
-        _mul_into(acc, _pack(self, width), _pack(other, width))
-        return _unpack(acc, self.nvars, width, type(self))
+        _mul_into(acc, a, b)
+        return _unpack(_over(acc, da * db), self.nvars, width, type(self))
 
     __rmul__ = __mul__
 
     def div_exact(self, other: "XPoly") -> "XPoly":
         """Exact quotient q with q*other == self; raises NotDivisible."""
-        other = self._coerce(other)
-        if other.is_zero():
+        divisor = self._coerce(other)
+        if divisor is NotImplemented:
+            raise TypeError(f"cannot divide a {type(self).__name__} by {type(other).__name__}")
+        if divisor.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
+        (xa, pa), (xb, pb) = _bounds((self,)), _bounds((divisor,))
         width = _width(max(xa, xb), pa + pb)
-        quot = _div_packed(_pack(self, width), _pack(other, width), self.nvars, width)
+        quot = _div_packed(_pack(self, width), _pack(divisor, width), self.nvars, width)
         return _unpack(quot, self.nvars, width, type(self))
 
     def substitute(self, assignment: Mapping[int, Union["XPoly", Scalar]]) -> "XPoly":
@@ -556,6 +588,7 @@ class XPoly(_Ring):
                 images[i] = ring._constant(val)
         bounds = {i: _bounds((img,)) for i, img in images.items()}
         xdeg = pabs = 0
+        top = [0] * self.nvars
         for e, c in self.terms.items():
             x, pe = 0, max(max(c.terms), -min(c.terms))
             for i, k in enumerate(e):
@@ -564,14 +597,26 @@ class XPoly(_Ring):
                         raise UnassignedVariable(f"variable x{i} is not assigned")
                     x += k * bounds[i][0]
                     pe += k * bounds[i][1]
+                    top[i] = max(top[i], k)
             xdeg, pabs = max(xdeg, x), max(pabs, pe)
         width = _width(xdeg, pabs)
+        # over ints: x_i goes to d_i * images[i], and a term c * x^k of self
+        # to L * c * prod d_i^(top_i - k_i) * x^k, which puts the whole image
+        # over one denominator, L * prod d_i^top_i
+        cleared = {i: _clear(_pack(images[i], width)) for i, t in enumerate(top) if t}
+        L = lcm(*{f.denominator for c in self.terms.values() for f in c.terms.values()})
+        lifts = {
+            i: [d ** (top[i] - k) for k in range(top[i] + 1)]
+            for i, (_, d) in cleared.items()
+            if d != 1
+        }
+        den = L * prod(ds[0] for ds in lifts.values())
         powers: dict[tuple[int, int], dict] = {}
 
         def power(i, k):
             if (i, k) not in powers:
                 if k == 1:
-                    powers[i, k] = _pack(images[i], width)
+                    powers[i, k] = cleared[i][0]
                 else:
                     powers[i, k] = acc = {}
                     _mul_into(acc, power(i, k - 1), power(i, 1))
@@ -580,13 +625,18 @@ class XPoly(_Ring):
         result: dict = {}
         for e, c in self.terms.items():
             mono = c.terms
+            if L != 1:
+                mono = {pe: f.numerator * (L // f.denominator) for pe, f in mono.items()}
+            scale = 1
+            for i, ds in lifts.items():
+                scale *= ds[e[i]]
             for i, k in enumerate(e):
                 if k:
-                    prod: dict = {}
-                    _mul_into(prod, mono, power(i, k))
-                    mono = prod
-            _add_into(result, mono)
-        return _unpack(result, ring.nvars, width, type(ring))
+                    term: dict = {}
+                    _mul_into(term, mono, power(i, k))
+                    mono = term
+            _add_into(result, mono, scale)
+        return _unpack(_over(result, den), ring.nvars, width, type(ring))
 
     def permute(self, perm: tuple) -> "XPoly":
         """Relabel variables: index i becomes perm[i] (length nvars)."""
@@ -711,15 +761,15 @@ class VSeries:
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
         (xa, pa), (xb, pb) = _bounds(a), _bounds(b)
         width = _width(xa + xb, pa + pb)
-        a = [_pack(c, width) for c in a]
-        b = [_pack(c, width) for c in b]
+        a, da = _clear_all([_pack(c, width) for c in a])
+        b, db = _clear_all([_pack(c, width) for c in b])
         out = []
         for k in range(n + 1):
             acc: dict = {}
             for i in range(k + 1):
                 if a[i] and b[k - i]:
                     _mul_into(acc, a[i], b[k - i])
-            out.append(_unpack(acc, self.nvars, width))
+            out.append(_unpack(_over(acc, da * db), self.nvars, width))
         return VSeries(n, out)
 
     def recip(self) -> "VSeries":
@@ -730,7 +780,12 @@ class VSeries:
         # k coefficients of self
         xdeg, pabs = _bounds(self.coeffs)
         width = _width(self.order * xdeg, self.order * pabs)
-        a = [_pack(c, width) for c in self.coeffs]
+        # over ints: with self = 1 + sum A_j v^j / d, the v^k coefficient of
+        # the inverse is I_k / d^k, where I_k = -sum_j A_j d^(j-1) I_(k-j)
+        a, d = _clear_all([_pack(c, width) for c in self.coeffs])
+        if d != 1:
+            for j in range(2, len(a)):
+                a[j] = {key: c * d ** (j - 1) for key, c in a[j].items()}
         inv = [{0: 1}]
         for k in range(1, self.order + 1):
             acc: dict = {}
@@ -738,7 +793,7 @@ class VSeries:
                 if a[j] and inv[k - j]:
                     _mul_into(acc, a[j], inv[k - j])
             inv.append({key: -c for key, c in acc.items() if c})
-        return VSeries(self.order, [_unpack(c, self.nvars, width) for c in inv])
+        return VSeries(self.order, [_unpack(_over(c, d**k), self.nvars, width) for k, c in enumerate(inv)])
 
     def truncate(self, order: int) -> "VSeries":
         if order >= self.order:

@@ -58,6 +58,10 @@ class TestPrimeLaurent:
         with pytest.raises(TypeError):
             "1" - p
 
+    def test_div_exact_by_non_scalar_raises_type_error(self):
+        with pytest.raises(TypeError):
+            (p - 1).div_exact("x")
+
     @pytest.mark.parametrize("value", [0.1, 0.0, "1/2", 1j, None])
     def test_inexact_coefficient_raises_type_error(self, value):
         with pytest.raises(TypeError):
@@ -184,6 +188,10 @@ class TestXPoly:
     def test_unsupported_operand_raises_type_error(self):
         with pytest.raises(TypeError):
             "1" - XPoly.variable(2, 0)
+
+    def test_div_exact_by_non_scalar_raises_type_error(self):
+        with pytest.raises(TypeError):
+            XPoly.variable(2, 0).div_exact(1.5)
 
     @pytest.mark.parametrize("value", [0.5, 0.0, "1/2"])
     def test_inexact_coefficient_raises_type_error(self, value):

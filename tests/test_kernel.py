@@ -394,6 +394,40 @@ def weighted_hecke_exprs(max_weight=8, max_terms=4):
     )
 
 
+#: denominators of whole operands: 1, equal pairs and coprime pairs among them
+DENOMINATORS = (1, 4, 6, 9, 35)
+
+
+def over(den, max_exps, max_terms=4):
+    """XPoly in len(max_exps) variables with coefficients n/den (n a nonzero
+    integer, so some may reduce) and the exponent of x_i at most max_exps[i]."""
+    coeffs = st.dictionaries(
+        st.integers(-3, 3), st.integers(-40, 40).filter(bool).map(lambda n: Fraction(n, den)),
+        min_size=1, max_size=3,
+    ).map(PrimeLaurent)
+    exps = st.tuples(*[st.integers(0, m) for m in max_exps])
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(lambda t: XPoly(len(max_exps), t))
+
+
+def over_pair(nvars):
+    """(a, b) whose denominators are 1, equal or coprime, in either order."""
+    dens = st.tuples(st.sampled_from(DENOMINATORS), st.sampled_from(DENOMINATORS))
+    return dens.flatmap(lambda d: st.tuples(over(d[0], (3,) * nvars), over(d[1], (3,) * nvars)))
+
+
+def substitutions(nvars):
+    """(a, images): a rational or integral, with a top degree of its own for
+    each variable, and images each over its own denominator and degree."""
+    return st.tuples(
+        st.sampled_from(DENOMINATORS).flatmap(lambda d: over(d, (3, 1, 2)[:nvars])),
+        st.lists(
+            st.sampled_from(DENOMINATORS).flatmap(lambda d: over(d, (1, 2, 1)[:nvars], max_terms=2)),
+            min_size=nvars,
+            max_size=nvars,
+        ),
+    )
+
+
 pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n)))
 divisions = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), nonzero(xpolys(n))))
 
@@ -437,6 +471,45 @@ def test_mul_matches_reference(ab):
     got = a * b
     assert got == ref_mul(a, b)
     assert_canonical(got)
+
+
+_X, _Y = XPoly.variable(2, 0), XPoly.variable(2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(over_pair))
+@example((_X * Fraction(1, 4) + Fraction(3, 4), _Y * Fraction(5, 9) - Fraction(1, 9)))  # coprime
+@example((_X * Fraction(1, 6) + Fraction(5, 6), _X * Fraction(5, 6) - Fraction(1, 6)))  # equal
+@example((_X * Fraction(1, 6) - _Y, _X * 6 + _Y * 3))  # rational times integral
+@example((_X * 2 - _Y, _X * 2 + _Y * 7))  # integral
+def test_mul_over_common_denominator_matches_reference(ab):
+    a, b = ab
+    got = a * b
+    assert got == ref_mul(a, b)
+    assert_canonical(got)
+    # the cross terms of (a + b)(a - b) cancel to zero inside the product
+    diff = (a + b) * (a - b)
+    assert diff == ref_mul(ref_add(a, b), ref_add(a, ref_neg(b))) == a * a - b * b
+    assert_canonical(diff)
+    assert (a * (b - b)).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(substitutions))
+@example((_X ** 3 * Fraction(1, 6) + _Y * Fraction(5, 4), [_X * 3 - _Y, _X * Fraction(2, 9)]))
+@example((_X ** 3 * 5 - _X * _Y, [_X * Fraction(1, 4) + 1, _Y ** 2 * Fraction(3, 35)]))  # integral self
+@example((_X * Fraction(1, 6) + _Y ** 2 * Fraction(5, 9), [_X * 2 + _Y, _Y - 1]))  # integral images
+def test_substitute_over_common_denominator_matches_reference(case):
+    a, images = case
+    assignment = dict(enumerate(images))
+    got = a.substitute(assignment)
+    assert got == ref_substitute(a, assignment)
+    assert_canonical(got)
+    # with x0 and x1 sent to one image, a and a with x0, x1 swapped have the
+    # same image, so every term of the difference cancels
+    if a.nvars > 1:
+        swap = a - a.permute((1, 0) + tuple(range(2, a.nvars)))
+        assert swap.substitute({**assignment, 1: images[0]}).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
