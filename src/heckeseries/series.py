@@ -37,12 +37,13 @@ from .errors import (
     NotSymmetric,
 )
 from .spherical import _hl_sums, omega_hl, sp_image_pbracket, sp_image_Ti, sp_image_Tp
-from .symmetric import signatures, to_msym, x0_weight
+from .symmetric import _orbit_sums, signatures, to_msym, x0_weight
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
-#: hard bound on the truncation order of r_series; at this order r_series(3, N) takes
-#: 2.0-2.2 s and p_numerator's product and tail check 0.5 s more (2-vCPU Xeon, cold)
+#: hard bound on the truncation order of r_series and p3_closed_form; at this order
+#: r_series(3, N) takes 0.19-0.24 s and p_numerator's product and tail check
+#: 0.26-0.33 s more (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
@@ -111,6 +112,14 @@ def hecke_image(e: HeckeExpr) -> XPoly:
 # -- series ----------------------------------------------------------
 
 
+def _check_order(N: int) -> None:
+    """Refuse a negative series order or one past SERIES_ORDER_BOUND."""
+    if N < 0:
+        raise ValueError(f"series order must be >= 0, got {N}")
+    if N > SERIES_ORDER_BOUND:
+        raise EnumerationTooLarge(f"series order {N} exceeds the bound {SERIES_ORDER_BOUND}")
+
+
 @lru_cache(maxsize=None)
 def r_series(n: int, N: int) -> VSeries:
     """Truncated generating series of the T(p^delta) images.
@@ -125,15 +134,14 @@ def r_series(n: int, N: int) -> VSeries:
                   signatures lambda with top part m of
                   Antisym(x^lambda * D) / V / v_lambda(1/p),
 
-    and each top part costs two exact divisions per multiplicity class
-    (``spherical._hl_sums``), not two per chain.
+    and each top part costs one exact division by the norm per
+    multiplicity class and one step by V, on orbit representatives
+    (``spherical._hl_sums``).  The running sum over m stays in that form,
+    and each v^delta coefficient's orbits are written out once.
     """
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
-    if N < 0:
-        raise ValueError(f"series order must be >= 0, got {N}")
-    if N > SERIES_ORDER_BOUND:
-        raise EnumerationTooLarge(f"series order {N} exceeds the bound {SERIES_ORDER_BOUND}")
+    _check_order(N)
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
     width, sums = _hl_sums(by_top, n, N)
     coeffs = []
@@ -142,7 +150,7 @@ def r_series(n: int, N: int) -> VSeries:
         # v^delta collects every signature with top part m <= delta
         _add_into(acc, packed)
         x0 = _key((delta,) + (0,) * n, width)
-        coeffs.append(_unpack({k + x0: c for k, c in acc.items()}, n + 1, width))
+        coeffs.append(_orbit_sums(_unpack({k + x0: c for k, c in acc.items()}, n + 1, width)))
     return VSeries(N, coeffs)
 
 
@@ -191,14 +199,19 @@ def p3_closed_form(N: int) -> VSeries:
 
     The kernel sum over omega(t(1, p^a, p^b)) weighted by p^(2a+b) (x0 v)^b,
     multiplied by the six linear factors (1 - x0 x_S v) with |S| in {1, 2}.
+    Each v^b coefficient of the kernel is summed in one packed dict, the
+    powers of p and x0 added as key offsets.
     """
-    nv = 4
+    _check_order(N)
     kernel_coeffs = []
     for b in range(N + 1):
-        acc = XPoly(nv)
-        for a in range(b + 1):
-            acc = acc + omega_hl((b, a, 0), 3) * PrimeLaurent.p_power(2 * a + b)
-        kernel_coeffs.append(acc * XPoly.monomial(nv, (b, 0, 0, 0)))
+        omegas = [omega_hl((b, a, 0), 3) for a in range(b + 1)]
+        _, pabs = _bounds(omegas)
+        width = _width(b, pabs + 3 * b)
+        acc: dict = {}
+        for a, omega in enumerate(omegas):
+            _add_into(acc, _pack(omega, width, _key((b, 0, 0, 0), width, 2 * a + b)))
+        kernel_coeffs.append(_unpack(acc, 4, width))
     return _times_linear_factors(VSeries(N, kernel_coeffs), (1, 2))
 
 

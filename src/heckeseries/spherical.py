@@ -5,7 +5,8 @@ Two independent routes to the GL_n spherical map are implemented:
 * ``omega_hl`` -- closed form via a signed symmetrization divided by the
   Vandermonde (a Hall-Littlewood specialization at t = 1/p), with the
   multiplicity normalization v_lambda(1/p) and the prefactor
-  p^(-sum i*lambda_i);
+  p^(-sum i*lambda_i), computed on orbit representatives (the bialternant
+  identity) and written out once;
 * ``omega_cosets`` -- brute-force enumeration of Hermite-normal-form left
   coset representatives filtered by their Smith-normal-form elementary
   divisors, at a concrete prime.
@@ -20,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
+from operator import add, sub
 
 from .algebra import (
     PL_ONE,
@@ -28,12 +30,12 @@ from .algebra import (
     _add_into,
     _bounds,
     _div_packed,
-    _pack,
+    _key,
     _unpack,
     _width,
 )
 from .errors import EnumerationTooLarge, IndexOutOfRange, UnsupportedRank
-from .symmetric import check_signature, elem, msym
+from .symmetric import _orbit_sums, check_signature, elem
 
 #: hard bound on the number of candidate coset matrices per enumeration.
 #: Near it, `heckeseries omega --oracle` runs in about 2 s cold (2-vCPU Xeon,
@@ -73,24 +75,13 @@ def sm(r: int, a: int) -> PrimeLaurent:
     return num.div_exact(phi(r) * phi(a - r))
 
 
-def _sgn(perm: tuple) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv & 1 else 1
-
-
 @lru_cache(maxsize=None)
-def _pair_product(n: int, k: int) -> XPoly:
-    """prod_{1 <= i < j <= n} (x_i - p^(-k) x_j): the Vandermonde at k = 0 and
-    the deformed product at k = 1."""
+def _deformed_product(n: int) -> XPoly:
+    """prod_{1 <= i < j <= n} (x_i - x_j / p)."""
     unit = [tuple(int(m == i) for m in range(n + 1)) for i in range(n + 1)]
     acc = XPoly.constant(n + 1, 1)
     for i, j in combinations(range(1, n + 1), 2):
-        acc = acc * XPoly(n + 1, {unit[i]: 1, unit[j]: PrimeLaurent.p_power(-k, -1)})
+        acc = acc * XPoly(n + 1, {unit[i]: 1, unit[j]: PrimeLaurent.p_power(-1, -1)})
     return acc
 
 
@@ -111,55 +102,90 @@ def _multiplicity_class(lam) -> tuple:
     return tuple(sorted(mult.values()))
 
 
-@lru_cache(maxsize=None)
-def _packed_orbit(n: int, width: int) -> tuple:
-    """(sign of w, the bit offset of the key field of x_w(i) for each i,
-    packed w(D)) for every permutation w of x1..xn, where D is the deformed
-    product."""
-    d = _pair_product(n, 1)
-    return tuple(
-        (_sgn(w), tuple(width * (j + 1) for j in w), _pack(d.permute((0,) + w), width))
-        for w in permutations(range(1, n + 1))
-    )
+def _sort_sign(beta: tuple) -> int:
+    """The sign of the sort of beta into decreasing order; 0 on a repeated entry."""
+    if len(set(beta)) < len(beta):
+        return 0
+    return -1 if sum(x < y for x, y in combinations(beta, 2)) & 1 else 1
+
+
+def _dominant(deg: int, n: int, hi: int):
+    """The weakly decreasing n-tuples of sum deg, parts at most hi, lex-decreasing."""
+    if n == 1:
+        if deg <= hi:
+            yield (deg,)
+        return
+    for first in range(min(deg, hi), -(-deg // n) - 1, -1):
+        for rest in _dominant(deg - first, n - 1, first):
+            yield (first,) + rest
+
+
+def _div_vandermonde(anti: dict, n: int) -> dict:
+    """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric, given at
+    its strictly decreasing exponents, and Q at its weakly decreasing ones,
+    each as {exponent: {p-exponent: coefficient}}.
+
+    By V = sum_w sgn(w) x^w(delta), delta = (n-1, ..., 0), A at alpha + delta
+    is the sum of sgn(w) Q_sort(alpha + delta - w(delta)), zero where an entry
+    is negative.  delta - w(delta) is lex-positive for w != 1, so Q_alpha
+    follows from known ones when alpha runs lex-decreasing.  An antisymmetric
+    A is a multiple of V: the quotient is exact and nothing is checked.
+    """
+    delta = tuple(range(n - 1, -1, -1))
+    # (delta - w(delta), -sgn(w)) for w != 1
+    shifts = [(tuple(map(sub, delta, w)), -_sort_sign(w)) for w in permutations(delta) if w != delta]
+    hi = max((beta[0] for beta in anti), default=0) - (n - 1)
+    quot: dict[tuple, dict] = {}
+    for deg in sorted({sum(beta) for beta in anti}):
+        for alpha in _dominant(deg - sum(delta), n, hi):
+            q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
+            get = q.get
+            for shift, sign in shifts:
+                beta = sorted(map(add, alpha, shift), reverse=True)
+                if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
+                    for pe, c in known.items():
+                        q[pe] = get(pe, 0) + sign * c
+            q = {pe: c for pe, c in q.items() if c}
+            if q:
+                quot[alpha] = q
+    return quot
 
 
 def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
     """The field width and, for each group of signatures, the packed sum over
-    the group of p^pshift * Antisym(x^lambda * D) / V / v_lambda(1/p).
+    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) / V at its
+    weakly decreasing exponents (D the deformed product, V the Vandermonde).
 
-    D is the deformed product and V the Vandermonde.  Antisymmetrization
-    and both divisions are linear and v_lambda depends only on the
-    multiplicity class of lambda, so each class in a group is
-    antisymmetrized by key shifts of the packed w(D) and then divided
-    once by V and once by its norm.  The width fits x-exponents up to
-    xdeg, which must be at least every part.
+    All three steps are linear and v_lambda depends only on the multiplicity
+    class of lambda.  Each term c x^gamma p^e of D adds sgn * c p^(e + pshift)
+    to its class's antisymmetric sum at sort(lambda + gamma), sgn the sign of
+    the sort, unless lambda + gamma has a repeated entry.  Each class's sum
+    is divided by its norm, exactly as ``_div_packed`` certifies, and the
+    group's sum once by V.  xdeg must be at least every part.
     """
-    nv = n + 1
     reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
     norms = {cls: _multiplicity_norm(lam, n) for cls, lam in reps.items()}
-    # the dividends' p-exponents lie in pshift + [-pabs(D), 0], and dividing
-    # by a norm needs room for its p-range besides
-    _, dpabs = _bounds((_pair_product(n, 1),))
+    # the sums' p-exponents lie in pshift + [-pabs(D), 0], and dividing by a
+    # norm needs room for its p-range besides
+    _, dpabs = _bounds((_deformed_product(n),))
     npabs = max((-c.min_exp() for c in norms.values()), default=0)
     width = _width(xdeg + n - 1, dpabs + npabs + abs(pshift))
-    orbit = _packed_orbit(n, width)
-    vdm = _pack(_pair_product(n, 0), width)
+    dterms = [(e[1:], c.terms) for e, c in _deformed_product(n).terms.items()]
     out = []
     for sigs in groups:
         totals: dict[tuple, dict] = {}
         for lam in sigs:
             total = totals.setdefault(_multiplicity_class(lam), {})
-            for sgn, shifts, wd in orbit:
-                key = pshift
-                for part, shift in zip(lam, shifts):
-                    key += part << shift
-                _add_into(total, wd, sgn, key)
-        acc: dict = {}
+            for gamma, c in dterms:
+                beta = tuple(map(add, lam, gamma))
+                if sign := _sort_sign(beta):
+                    _add_into(total, c, sign, _key(sorted(beta, reverse=True), width, pshift))
+        anti: dict = {}
         for cls, total in totals.items():
-            quot = _div_packed(total, vdm, nv, width)
-            # the normalized result is always Laurent
-            _add_into(acc, _div_packed(quot, norms[cls].terms, nv, width))
-        out.append(acc)
+            # the normalized sum is always Laurent
+            _add_into(anti, _div_packed(total, norms[cls].terms, n, width))
+        quot = _div_vandermonde({b: c.terms for b, c in _unpack(anti, n, width).terms.items()}, n)
+        out.append({_key((0,) + alpha, width, pe): c for alpha, q in quot.items() for pe, c in q.items()})
     return width, out
 
 
@@ -169,12 +195,13 @@ def omega_hl(lam: tuple, n: int) -> XPoly:
 
     Computed as p^(-sum i*lambda_i) / v_lambda(1/p) times the signed
     S_n-symmetrization of x^lambda * prod_{i<j}(x_i - x_j/p), divided
-    exactly by the Vandermonde (``_hl_sums`` of the one signature).
+    exactly by the Vandermonde: ``_hl_sums`` of the one signature at the
+    dominant exponents, each orbit then written out once.
     """
     lam = check_signature(lam, n)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
     width, (packed,) = _hl_sums([[lam]], n, max(lam, default=0), -weight)
-    return _unpack(packed, n + 1, width)
+    return _orbit_sums(_unpack(packed, n + 1, width))
 
 
 def omega_pi(i: int, n: int) -> XPoly:

@@ -76,12 +76,18 @@ def to_msym(a: XPoly) -> dict[Signature, PrimeLaurent]:
     return {sig: out[sig] for sig in sorted(out, reverse=True)}
 
 
+def _orbit_sums(dominant: XPoly) -> XPoly:
+    """The polynomial symmetric in x1..xn with the terms of dominant at its
+    weakly decreasing exponents; the terms of an orbit share one coefficient."""
+    terms = {}
+    for e, c in dominant.terms.items():
+        head = e[:1]
+        for perm in permutations(e[1:]):
+            terms[head + perm] = c
+    return dominant._raw(terms)
+
+
 def from_msym(decomp: dict, n: int, weight: int = 0) -> XPoly:
     """Inverse of to_msym: rebuild x0^weight * sum c_sig * msym(sig)."""
-    terms = {}
-    for sig, c in decomp.items():
-        # distinct signatures have disjoint orbits
-        for perm in set(permutations(check_signature(sig, n))):
-            terms[(weight,) + perm] = c
-    return XPoly(n + 1, terms)
-
+    dominant = {(weight,) + check_signature(sig, n): c for sig, c in decomp.items()}
+    return _orbit_sums(XPoly(n + 1, dominant))

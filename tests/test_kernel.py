@@ -17,7 +17,11 @@ the product ``p_numerator`` formed before it used them: ``r_series`` times
 the expanded denominator, zero-padded to the series order.
 ``ref_to_msym`` decomposes into the monomial basis as ``to_msym`` did before
 it read the basis: it subtracts each lead's coefficient from every term of
-the lead's orbit in a remainder.
+the lead's orbit in a remainder.  ``ref_omega_hl`` antisymmetrizes over every
+permutation and divides the whole antisymmetric sum by the Vandermonde, as
+``omega_hl`` did before it worked on orbit representatives; the packed heap
+division by the Vandermonde it then used is ``XPoly.div_exact``, the
+reference of ``_div_vandermonde``.
 They live only here, as the oracle the kernel must agree with.
 """
 
@@ -28,7 +32,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, p
+from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _unpack, p
 from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
@@ -44,14 +48,15 @@ from heckeseries.series import (
     r_series,
 )
 from heckeseries.spherical import (
+    _div_vandermonde,
+    _hl_sums,
     _multiplicity_norm,
-    _sgn,
     omega_hl,
     sp_image_pbracket,
     sp_image_Ti,
     sp_image_Tp,
 )
-from heckeseries.symmetric import check_signature, from_msym, to_msym
+from heckeseries.symmetric import _orbit_sums, check_signature, from_msym, signatures, to_msym
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -208,6 +213,12 @@ def ref_vseries_mul(s, t):
             acc = ref_add(acc, ref_mul(s.coeffs[i], t.coeffs[k - i]))
         out.append(acc)
     return VSeries(n, out)
+
+
+def _sgn(perm):
+    """The sign of a permutation, by its inversions."""
+    inv = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inv & 1 else 1
 
 
 def ref_omega_hl(lam, n):
@@ -656,6 +667,65 @@ def test_vseries_mul_and_recip(case):
 )
 def test_omega_hl_matches_reference(lam):
     assert omega_hl(lam, len(lam)) == ref_omega_hl(lam, len(lam))
+
+
+@pytest.mark.parametrize("n, lam", [(n, lam) for n in (1, 2, 3) for lam in signatures(5, n)])
+def test_omega_hl_matches_reference_on_every_small_signature(n, lam):
+    # parts up to 5 meet every multiplicity class of every length
+    got = omega_hl(lam, n)
+    assert got == ref_omega_hl(lam, n)
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("pshift", [-5, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hl_sums_of_a_group_is_the_sum_over_its_signatures(n, pshift):
+    sigs = list(signatures(4, n))
+    groups = [sigs[::2], sigs[1::2], [lam for lam in sigs if lam[0] == 3], []]
+    width, sums = _hl_sums(groups, n, 4, pshift)
+    assert len(sums) == len(groups)
+    for group, packed in zip(groups, sums):
+        expected = XPoly(n + 1)
+        for lam in group:
+            one_width, (one,) = _hl_sums([[lam]], n, 4, pshift)
+            one = _unpack(one, n + 1, one_width)
+            weight = sum((i + 1) * part for i, part in enumerate(lam))
+            assert _orbit_sums(one) == omega_hl(lam, n) * PrimeLaurent.p_power(pshift + weight)
+            expected = expected + one
+        got = _unpack(packed, n + 1, width)
+        assert got == expected
+        assert all(list(e[1:]) == sorted(e[1:], reverse=True) for e in got.terms)
+
+
+def antisymmetric_reps():
+    """(n, {strictly decreasing exponent: nonzero Laurent coefficient})."""
+    def reps(n):
+        exps = st.lists(st.integers(0, 5), min_size=n, max_size=n, unique=True).map(
+            lambda v: tuple(sorted(v, reverse=True))
+        )
+        return st.tuples(st.just(n), st.dictionaries(exps, nonzero_laurents, max_size=5))
+
+    return st.integers(1, 3).flatmap(reps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_reps())
+@example((3, {(2, 1, 0): PrimeLaurent({0: 1})}))
+@example((3, {(5, 3, 0): PrimeLaurent({-2: Fraction(1, 2)}), (4, 2, 1): PrimeLaurent({1: -3, 0: 1})}))
+def test_div_vandermonde_matches_packed_division(case):
+    n, reps = case
+    nv = n + 1
+    full, vdm = {}, XPoly.constant(nv, 1)
+    for beta, c in reps.items():
+        for w in permutations(range(n)):
+            full[(0,) + tuple(beta[i] for i in w)] = c if _sgn(w) == 1 else -c
+    for i, j in combinations(range(1, nv), 2):
+        vdm = vdm * (XPoly.variable(nv, i) - XPoly.variable(nv, j))
+    expected = XPoly(nv, full).div_exact(vdm)
+    quot = _div_vandermonde({beta: c.terms for beta, c in reps.items()}, n)
+    assert all(list(a) == sorted(a, reverse=True) for a in quot)
+    got = _orbit_sums(XPoly(nv, {(0,) + a: PrimeLaurent(q) for a, q in quot.items()}))
+    assert got == expected
 
 
 @pytest.mark.parametrize(

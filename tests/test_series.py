@@ -39,7 +39,7 @@ from heckeseries.series import (
     r_series,
     specialize_nu,
 )
-from heckeseries.spherical import sp_image_pbracket, sp_image_Tp
+from heckeseries.spherical import omega_hl, sp_image_pbracket, sp_image_Tp
 from heckeseries.symmetric import msym, to_msym, x0_weight
 
 
@@ -154,6 +154,15 @@ class TestClosedForm:
         cf = p3_closed_form(DEFAULT_ORDER)
         assert cf.truncate(6) == p_numerator(3, DEFAULT_ORDER)
         assert cf.degree() <= 6
+
+    def test_order_bound(self):
+        # refused as r_series refuses it, before any spherical value is computed
+        misses = omega_hl.cache_info().misses
+        with pytest.raises(EnumerationTooLarge):
+            p3_closed_form(SERIES_ORDER_BOUND + 1)
+        with pytest.raises(ValueError):
+            p3_closed_form(-1)
+        assert omega_hl.cache_info().misses == misses
 
 
 class TestHeckeImage:
