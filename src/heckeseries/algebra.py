@@ -256,11 +256,13 @@ def monomial_text(exps: tuple, names, tex: bool = False) -> str:
 # monomials, adding a key shifts by a monomial (p^k is the key k), and
 # comparing keys is a monomial order: lex on x_{n-1} .. x_0, then p.  The
 # top bit of every x field stays clear; division uses it as a guard bit.
-# Sums and products may leave zeros and integral Fractions; _unpack and
-# PrimeLaurent._raw drop and demote them (see _exact).  Products,
-# substitutions and series reciprocals clear denominators once at their
-# boundary (_clear), run the kernel loops on ints and divide each result term
-# once (_over).
+# Every XPoly and VSeries operation keeps rationals at its boundary: it
+# clears its packed operands once to ints over one denominator (_clear), runs
+# the kernel loops on ints and divides each result term once as _unpack
+# stores it.  Of those loops only _div_packed, by a divisor whose cleared
+# lead is not +-1, meets Fractions; PrimeLaurent runs them on its
+# coefficients as they are.  Sums and products may leave zeros and integral
+# Fractions; _unpack and PrimeLaurent._raw drop and demote them (see _exact).
 
 
 def _width(xdeg: int, pabs: int) -> int:
@@ -298,19 +300,25 @@ def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
     return out
 
 
-def _unpack(packed: dict, nvars: int, width: int, cls: type | None = None) -> "XPoly":
-    """The polynomial (an XPoly, or of class cls) of a packed dict, with
-    canonical coefficients; zeros are dropped."""
+def _unpack(packed: dict, nvars: int, width: int, cls: type | None = None, den: int = 1) -> "XPoly":
+    """The polynomial (an XPoly, or of class cls) of a packed dict divided by
+    den, with canonical coefficients; zeros are dropped."""
     half, mask = 1 << (width - 1), (1 << width) - 1
     laurents: dict[int, dict] = {}
-    for key, c in packed.items():
-        if c:
-            pe = ((key + half) & mask) - half
-            x = (key - pe) >> width
-            g = laurents.get(x)
-            if g is None:
-                laurents[x] = g = {}
-            g[pe] = c if type(c) is int else _exact(c)
+    if den == 1:
+        for key, c in packed.items():
+            if c:
+                pe = ((key + half) & mask) - half
+                x = (key - pe) >> width
+                g = laurents.get(x)
+                if g is None:
+                    laurents[x] = g = {}
+                g[pe] = c if type(c) is int else _exact(c)
+    else:
+        for key, c in packed.items():
+            if c:
+                pe = ((key + half) & mask) - half
+                laurents.setdefault((key - pe) >> width, {})[pe] = Fraction(c, den) if c % den else c // den
     terms = {}
     for x, g in laurents.items():
         e = []
@@ -342,26 +350,13 @@ def _extent(packed: dict, nvars: int, width: int) -> tuple[list, int, int]:
     return degs, min(pes), max(pes)
 
 
-def _clear(packed: dict) -> tuple[dict, int]:
-    """(numerators, d): packed times d as ints, d the lcm of its
-    denominators; packed itself and 1 when every coefficient is an int."""
-    d = lcm(*{c.denominator for c in packed.values()})
-    if d == 1:
-        return packed, 1
-    return {k: c.numerator * (d // c.denominator) for k, c in packed.items()}, d
-
-
-def _clear_all(packs: list) -> tuple[list, int]:
+def _clear(packs: list) -> tuple[list, int]:
     """(numerators, d): each packed dict of packs times d as ints, d the lcm
-    of all their denominators."""
-    cleared = [_clear(a) for a in packs]
-    d = lcm(*(e for _, e in cleared))
-    return [a if e == d else {k: c * (d // e) for k, c in a.items()} for a, e in cleared], d
-
-
-def _over(packed: dict, d: int) -> dict:
-    """packed divided by d, zeros dropped; packed itself when d is 1."""
-    return packed if d == 1 else {k: _cdiv(c, d) for k, c in packed.items() if c}
+    of all their denominators; packs itself and 1 when every coefficient is an int."""
+    d = lcm(*{c.denominator for a in packs for c in a.values()})
+    if d == 1:
+        return packs, 1
+    return [{k: c.numerator * (d // c.denominator) for k, c in a.items()} for a in packs], d
 
 
 def _add_into(acc: dict, b: dict, scale=1, offset: int = 0) -> None:
@@ -539,9 +534,9 @@ class XPoly(_Ring):
     def _combine(self, other: "XPoly", scale: int) -> "XPoly":
         """self + scale * other."""
         width = _width(*_bounds((self, other)))
-        acc = _pack(self, width)
-        _add_into(acc, _pack(other, width), scale)
-        return _unpack(acc, self.nvars, width, type(self))
+        (a, b), d = _clear([_pack(self, width), _pack(other, width)])
+        _add_into(a, b, scale)
+        return _unpack(a, self.nvars, width, type(self), d)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -549,11 +544,11 @@ class XPoly(_Ring):
             return NotImplemented
         (xa, pa), (xb, pb) = _bounds((self,)), _bounds((other,))
         width = _width(xa + xb, pa + pb)
-        a, da = _clear(_pack(self, width))
-        b, db = _clear(_pack(other, width))
+        (a,), da = _clear([_pack(self, width)])
+        (b,), db = _clear([_pack(other, width)])
         acc: dict = {}
         _mul_into(acc, a, b)
-        return _unpack(_over(acc, da * db), self.nvars, width, type(self))
+        return _unpack(acc, self.nvars, width, type(self), da * db)
 
     __rmul__ = __mul__
 
@@ -566,8 +561,13 @@ class XPoly(_Ring):
             raise DivisionByZero("division by zero polynomial")
         (xa, pa), (xb, pb) = _bounds((self,)), _bounds((divisor,))
         width = _width(max(xa, xb), pa + pb)
-        quot = _div_packed(_pack(self, width), _pack(divisor, width), self.nvars, width)
-        return _unpack(quot, self.nvars, width, type(self))
+        # self / divisor = (a / b) * db / da, on ints when the lead of b is +-1
+        (a,), da = _clear([_pack(self, width)])
+        (b,), db = _clear([_pack(divisor, width)])
+        quot = _div_packed(a, b, self.nvars, width)
+        if db != 1:
+            quot = {k: c * db for k, c in quot.items()}
+        return _unpack(quot, self.nvars, width, type(self), da)
 
     def substitute(self, assignment: Mapping[int, Union["XPoly", Scalar]]) -> "XPoly":
         """Ring-homomorphism image under variable -> polynomial assignment.
@@ -603,30 +603,24 @@ class XPoly(_Ring):
         # over ints: x_i goes to d_i * images[i], and a term c * x^k of self
         # to L * c * prod d_i^(top_i - k_i) * x^k, which puts the whole image
         # over one denominator, L * prod d_i^top_i
-        cleared = {i: _clear(_pack(images[i], width)) for i, t in enumerate(top) if t}
-        L = lcm(*{f.denominator for c in self.terms.values() for f in c.terms.values()})
-        lifts = {
-            i: [d ** (top[i] - k) for k in range(top[i] + 1)]
-            for i, (_, d) in cleared.items()
-            if d != 1
-        }
-        den = L * prod(ds[0] for ds in lifts.values())
         powers: dict[tuple[int, int], dict] = {}
+        lifts = {}
+        for i, t in enumerate(top):
+            if t:
+                (powers[i, 1],), d = _clear([_pack(images[i], width)])
+                if d != 1:
+                    lifts[i] = [d ** (t - k) for k in range(t + 1)]
+        monos, L = _clear([c.terms for c in self.terms.values()])
+        den = L * prod(ds[0] for ds in lifts.values())
 
         def power(i, k):
             if (i, k) not in powers:
-                if k == 1:
-                    powers[i, k] = cleared[i][0]
-                else:
-                    powers[i, k] = acc = {}
-                    _mul_into(acc, power(i, k - 1), power(i, 1))
+                powers[i, k] = acc = {}
+                _mul_into(acc, power(i, k - 1), power(i, 1))
             return powers[i, k]
 
         result: dict = {}
-        for e, c in self.terms.items():
-            mono = c.terms
-            if L != 1:
-                mono = {pe: f.numerator * (L // f.denominator) for pe, f in mono.items()}
+        for e, mono in zip(self.terms, monos):
             scale = 1
             for i, ds in lifts.items():
                 scale *= ds[e[i]]
@@ -636,7 +630,7 @@ class XPoly(_Ring):
                     _mul_into(term, mono, power(i, k))
                     mono = term
             _add_into(result, mono, scale)
-        return _unpack(_over(result, den), ring.nvars, width, type(ring))
+        return _unpack(result, ring.nvars, width, type(ring), den)
 
     def permute(self, perm: tuple) -> "XPoly":
         """Relabel variables: index i becomes perm[i] (length nvars)."""
@@ -715,9 +709,10 @@ class VSeries:
         coeffs = list(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        nv = coeffs[0].nvars
         for c in coeffs:
-            if c.nvars != nv:
+            if not isinstance(c, XPoly):
+                raise TypeError(f"series coefficient {c!r} is not an XPoly")
+            if c.nvars != coeffs[0].nvars:
                 raise VarMismatch("mixed nvars in series coefficients")
         self.order = order
         self.coeffs = coeffs
@@ -761,15 +756,15 @@ class VSeries:
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
         (xa, pa), (xb, pb) = _bounds(a), _bounds(b)
         width = _width(xa + xb, pa + pb)
-        a, da = _clear_all([_pack(c, width) for c in a])
-        b, db = _clear_all([_pack(c, width) for c in b])
+        a, da = _clear([_pack(c, width) for c in a])
+        b, db = _clear([_pack(c, width) for c in b])
         out = []
         for k in range(n + 1):
             acc: dict = {}
             for i in range(k + 1):
                 if a[i] and b[k - i]:
                     _mul_into(acc, a[i], b[k - i])
-            out.append(_unpack(_over(acc, da * db), self.nvars, width))
+            out.append(_unpack(acc, self.nvars, width, den=da * db))
         return VSeries(n, out)
 
     def recip(self) -> "VSeries":
@@ -782,7 +777,7 @@ class VSeries:
         width = _width(self.order * xdeg, self.order * pabs)
         # over ints: with self = 1 + sum A_j v^j / d, the v^k coefficient of
         # the inverse is I_k / d^k, where I_k = -sum_j A_j d^(j-1) I_(k-j)
-        a, d = _clear_all([_pack(c, width) for c in self.coeffs])
+        a, d = _clear([_pack(c, width) for c in self.coeffs])
         if d != 1:
             for j in range(2, len(a)):
                 a[j] = {key: c * d ** (j - 1) for key, c in a[j].items()}
@@ -793,7 +788,7 @@ class VSeries:
                 if a[j] and inv[k - j]:
                     _mul_into(acc, a[j], inv[k - j])
             inv.append({key: -c for key, c in acc.items() if c})
-        return VSeries(self.order, [_unpack(_over(c, d**k), self.nvars, width) for k, c in enumerate(inv)])
+        return VSeries(self.order, [_unpack(c, self.nvars, width, den=d**k) for k, c in enumerate(inv)])
 
     def truncate(self, order: int) -> "VSeries":
         if order >= self.order:

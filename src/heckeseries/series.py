@@ -22,6 +22,7 @@ from .algebra import (
     _add_into,
     _bounds,
     _key,
+    _laurent,
     _pack,
     _unpack,
     _width,
@@ -245,7 +246,7 @@ def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
     NoSolution for a shared pivot row (not triangular) or an inconsistent
     row, and NotLaurent when an unknown is not Laurent in p.
     """
-    rows = [[PrimeLaurent._coerce(c) for c in r] for r in rows]
+    rows = [[_laurent(c) for c in r] for r in rows]
     pivot_col = {}
     for col in range(ncols):
         row = max((i for i, r in enumerate(rows) if not r[col].is_zero()), default=None)
@@ -314,13 +315,13 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
 
 
 @lru_cache(maxsize=None)
-def p3_in_generators(N: int = DEFAULT_ORDER) -> list[HeckeExpr]:
+def p3_in_generators() -> list[HeckeExpr]:
     """Coefficients (v^0..v^6) of the genus-3 numerator over the Hecke ring.
 
     Asserts the v^1 and v^5 coefficients vanish and that the leading term
     is p^15 [p]_3^3.
     """
-    num = p_numerator(3, N)
+    num = p_numerator(3, DEFAULT_ORDER)
     coeffs = [
         express_in_generators(num.coeffs[k], k) for k in range(num.order + 1)
     ]
@@ -357,7 +358,7 @@ def q3_in_generators() -> QCoefficients:
     """Reconstruct the denominator coefficients t_0..t_8 over the Hecke ring.
 
     t_2..t_4 come from the indeterminate-coefficient solve against the
-    expanded denominator; t_5..t_7 from the functional equation
+    expanded denominator; t_5..t_8 from the functional equation
     t_{8-i} = (p^6 [p]_3)^(4-i) t_i; every t_j is verified against the
     corresponding expanded coefficient.
     """
@@ -366,9 +367,8 @@ def q3_in_generators() -> QCoefficients:
     for k in (2, 3, 4):
         t.append(express_in_generators(q.coeffs[k], k))
     scale = P_BRACKET * PrimeLaurent.p_power(6)
-    for k in (5, 6, 7):
+    for k in (5, 6, 7, 8):
         t.append(scale ** (k - 4) * t[8 - k])
-    t.append(HeckeExpr({(0, 0, 0, 4): PrimeLaurent.p_power(24)}))
     for k in range(9):
         if hecke_image(t[k]) != q.coeffs[k]:
             raise FunctionalEquationViolated(

@@ -336,6 +336,12 @@ class TestVSeries:
         with pytest.raises(TypeError):
             op(1, s)
 
+    def test_coefficient_outside_the_ring_raises_type_error(self):
+        with pytest.raises(TypeError):
+            VSeries(0, [1])
+        with pytest.raises(TypeError):
+            VSeries.from_dict(1, 2, {1: 5})
+
     def test_json_round_trip(self):
         s = VSeries.from_dict(
             2, 2, {0: XPoly.constant(2, 1), 2: XPoly.monomial(2, (1, 1), -1)}

@@ -1,17 +1,19 @@
 """The CLI exit-code contract on generated argument lists.
 
 Every argv drawn from the CLI's grammar, well-formed or not, must end with
-exit code 0, 1 or 2 and no escaping exception, and ``omega --prime`` must
-stay within OMEGA_OUTPUT_BOUND.  ``cli.run`` runs in-process; usage errors
-leave it as SystemExit(2) from argparse.
+exit code 0, 1 or 2 and no escaping exception, and ``series`` and
+``omega --prime`` must stay within OMEGA_OUTPUT_BOUND.  ``cli.run`` runs
+in-process; usage errors leave it as SystemExit(2) from argparse.
 
-Three inputs are drawn only where they run in milliseconds, to keep the
-test at a few seconds: ``verify-all`` (about 20 s) is left out, series
-orders 13..20 (up to 1.5 s each, cold) are left out, and ``--oracle`` draws
-parts of at most 3 at the primes 2, 3 and 5, whose largest enumerations
-(0.9 M candidates at 3 and 0.5 M at 5) take a fraction
-of a second cold.  ``--out`` is left out so that nothing is written to
-disk.
+Series orders run up to the bound of 20; the largest outputs, genus 3 at
+order 20 in text and LaTeX and in JSON at its order bound, are explicit
+examples.  ``series --genus 3 --order 20`` takes 0.5-0.75 s cold as a
+command, and the whole test 1.5-2.2 s.  Two inputs are drawn only where
+they run in milliseconds: ``verify-all`` (a few seconds) is left out, and
+``--oracle`` draws parts of at most 3 at the primes 2, 3 and 5, whose
+largest enumerations (0.9 M candidates at 3 and 0.5 M at 5) take a
+fraction of a second cold.  ``--out`` is left out so that nothing is
+written to disk.
 """
 
 import io
@@ -22,7 +24,7 @@ import pytest
 from heckeseries.cli import LAMBDA_PART_BOUND, OMEGA_OUTPUT_BOUND, PRIME_BOUND, run
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 junk = st.text(max_size=6)
@@ -50,7 +52,7 @@ primes = st.one_of(
 )
 oracle_primes = st.sampled_from(["2", "3", "5"])
 genera = st.one_of(st.integers(0, 4).map(str), junk)
-orders = st.one_of(st.integers(-2, 12).map(str), st.integers(21, 40).map(str), junk)
+orders = st.one_of(st.integers(-2, 12).map(str), st.integers(13, 20).map(str), st.integers(21, 40).map(str), junk)
 strays = st.sampled_from(["-h", "--frobnicate", "--lambda"])
 
 
@@ -79,6 +81,10 @@ def argvs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(argvs())
+# the largest series outputs: order 20 in text and LaTeX, and JSON at its order bound
+@example(["series", "--genus", "3", "--order", "20"])
+@example(["--format", "latex", "series", "--order", "20"])
+@example(["--format", "json", "series", "--genus", "3", "--order", "14"])
 def test_exit_codes_on_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -88,5 +94,5 @@ def test_exit_codes_on_generated_argv(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
-    if code == 0 and "omega" in argv and "--prime" in argv:
+    if code == 0 and ("series" in argv or "omega" in argv and "--prime" in argv):
         assert len(out.getvalue().encode()) <= OMEGA_OUTPUT_BOUND

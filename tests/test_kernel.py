@@ -439,8 +439,11 @@ def substitutions(nvars):
     )
 
 
-pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n)))
+# mixed denominators per term, and whole operands over one denominator each
+over_pairs = st.integers(1, 3).flatmap(over_pair)
+pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), xpolys(n))) | over_pairs
 divisions = st.integers(1, 4).flatmap(lambda n: st.tuples(xpolys(n), nonzero(xpolys(n))))
+divisions |= over_pairs.filter(lambda ab: not ab[1].is_zero())
 
 
 def assert_canonical_laurent(c):
@@ -545,8 +548,16 @@ def test_add_sub_match_reference(ab):
     assert -a == ref_neg(a)
 
 
+# divisors over 6 and 9: cleared, the lead of the first is 1 (the quotient
+# stays on ints) and of the second 6 (_div_packed divides by it)
+_UNIT_LEAD = _X * Fraction(1, 6) + Fraction(5, 6)
+_NON_UNIT_LEAD = _X * PrimeLaurent({1: Fraction(2, 3)}) + Fraction(1, 9)
+
+
 @settings(max_examples=150, deadline=None)
 @given(divisions)
+@example((_Y * Fraction(3, 4) - Fraction(1, 4), _UNIT_LEAD))
+@example((_Y * Fraction(3, 4) - _X * Fraction(1, 4), _NON_UNIT_LEAD))
 def test_div_exact_of_products(ab):
     a, b = ab
     prod = a * b
@@ -557,6 +568,9 @@ def test_div_exact_of_products(ab):
 
 @settings(max_examples=150, deadline=None)
 @given(divisions)
+@example(((_Y * Fraction(3, 4) - Fraction(1, 4)) * _UNIT_LEAD, _UNIT_LEAD))
+@example(((_Y * Fraction(1, 4) + 1) * _NON_UNIT_LEAD, _NON_UNIT_LEAD))
+@example((_Y * Fraction(1, 4) + _X * Fraction(5, 6), _NON_UNIT_LEAD))  # not divisible
 def test_div_exact_agrees_on_arbitrary_pairs(ab):
     a, b = ab
     try:
@@ -565,7 +579,9 @@ def test_div_exact_agrees_on_arbitrary_pairs(ab):
         with time_limit(10), pytest.raises(NotDivisible):
             a.div_exact(b)
     else:
-        assert a.div_exact(b) == expected
+        got = a.div_exact(b)
+        assert got == expected
+        assert_canonical(got)
 
 
 @settings(max_examples=300, deadline=None)

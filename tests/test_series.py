@@ -237,6 +237,10 @@ class TestExpressInGenerators:
         with pytest.raises(NotLaurent):
             _solve_fraction_free([[p - 1, 1]], 1)
 
+    def test_entry_outside_the_ring_raises_type_error(self):
+        with pytest.raises(TypeError):
+            _solve_fraction_free([[1.5, 1]], 1)
+
     def test_wrong_weight_rejected(self):
         with pytest.raises(NotSymmetric):
             express_in_generators(q_poly(3).coeffs[2], 3)
