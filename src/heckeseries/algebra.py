@@ -632,16 +632,6 @@ class XPoly(_Ring):
             _add_into(result, mono, scale)
         return _unpack(result, ring.nvars, width, type(ring), den)
 
-    def permute(self, perm: tuple) -> "XPoly":
-        """Relabel variables: index i becomes perm[i] (length nvars)."""
-        res = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            res[tuple(ne)] = c
-        return self._raw(res)
-
     def specialize_prime(self, prime) -> "XPoly":
         """Evaluate every coefficient at p = prime (rational coefficients remain)."""
         res = {}

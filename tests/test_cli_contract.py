@@ -8,12 +8,13 @@ in-process; usage errors leave it as SystemExit(2) from argparse.
 Series orders run up to the bound of 20; the largest outputs, genus 3 at
 order 20 in text and LaTeX and in JSON at its order bound, are explicit
 examples.  ``series --genus 3 --order 20`` takes 0.5-0.75 s cold as a
-command, and the whole test 1.5-2.2 s.  Two inputs are drawn only where
-they run in milliseconds: ``verify-all`` (a few seconds) is left out, and
-``--oracle`` draws parts of at most 3 at the primes 2, 3 and 5, whose
-largest enumerations (0.9 M candidates at 3 and 0.5 M at 5) take a
-fraction of a second cold.  ``--out`` is left out so that nothing is
-written to disk.
+command.  ``--oracle`` draws parts 0..8 at the primes 2, 3, 5 and 7, up
+to and past COSET_CANDIDATE_BOUND; 7,0,0 at 3 (8.07 M candidates, under
+0.1 s cold in-process) and 8,0,0 at 3 (refused) are explicit examples.
+With no saved examples the test takes 3.0-3.2 s, against 2.6-3.3 s when
+it drew parts of at most 3 at 2, 3 and 5 (2-vCPU Xeon, Python 3.11.7).
+``verify-all`` (a few seconds) is left out, and so is ``--out``, so that
+nothing is written to disk.
 """
 
 import io
@@ -50,7 +51,7 @@ primes = st.one_of(
     st.integers(-3, 2 * PRIME_BOUND).map(str),
     junk,
 )
-oracle_primes = st.sampled_from(["2", "3", "5"])
+oracle_primes = st.sampled_from(["2", "3", "5", "7"])
 genera = st.one_of(st.integers(0, 4).map(str), junk)
 orders = st.one_of(st.integers(-2, 12).map(str), st.integers(13, 20).map(str), st.integers(21, 40).map(str), junk)
 strays = st.sampled_from(["-h", "--frobnicate", "--lambda"])
@@ -64,7 +65,7 @@ def argvs(draw):
     if command == "omega":
         oracle = draw(st.booleans())
         if draw(st.booleans()):
-            argv += ["--lambda", draw(parts(0, 3) | junk if oracle else lambdas)]
+            argv += ["--lambda", draw(parts(0, 8) | junk if oracle else lambdas)]
         if draw(st.booleans()):
             argv += ["--prime", draw(oracle_primes | junk if oracle else primes)]
         if oracle:
@@ -85,6 +86,9 @@ def argvs(draw):
 @example(["series", "--genus", "3", "--order", "20"])
 @example(["--format", "latex", "series", "--order", "20"])
 @example(["--format", "json", "series", "--genus", "3", "--order", "14"])
+# either side of COSET_CANDIDATE_BOUND: 8.07 M candidates run, 72.6 M are refused
+@example(["omega", "--lambda", "7,0,0", "--prime", "3", "--oracle"])
+@example(["omega", "--lambda", "8,0,0", "--prime", "3", "--oracle"])
 def test_exit_codes_on_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

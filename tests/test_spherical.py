@@ -261,6 +261,8 @@ class TestCosetBuckets:
         strata = _oracle_strata()
         assert {(3, 2, 6), (3, 3, 6), (2, 5, 4), (1, 5, 0)} <= set(strata)
         strata += [(3, q, delta) for q in (5, 7) for delta in range(3)]
+        # several b-classes with more than one member each
+        strata += [(3, 2, 8), (3, 5, 3), (3, 7, 3)]
         for n, q, delta in strata:
             assert _coset_buckets.__wrapped__(n, q, delta) == ref_coset_buckets(n, q, delta), (n, q, delta)
 
