@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import product
 from math import isqrt, log10
 
@@ -198,8 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _run_command(parser, args)

@@ -10,9 +10,9 @@ T(p)^a T_1(p^2)^b T_2(p^2)^c [p]_3^d.  The spherical map on it,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import gt
 
 from .algebra import (
     PL_ZERO,
@@ -23,6 +23,7 @@ from .algebra import (
     _bounds,
     _key,
     _laurent,
+    _mul_into,
     _pack,
     _unpack,
     _width,
@@ -37,14 +38,23 @@ from .errors import (
     NotLaurent,
     NotSymmetric,
 )
-from .spherical import _hl_sums, omega_hl, sp_image_pbracket, sp_image_Ti, sp_image_Tp
+from .spherical import (
+    _alternant_sums,
+    _div_vandermonde,
+    _hl_sums,
+    _sort_sign,
+    omega_hl,
+    sp_image_pbracket,
+    sp_image_Ti,
+    sp_image_Tp,
+)
 from .symmetric import _orbit_sums, signatures, to_msym, x0_weight
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
-#: hard bound on the truncation order of r_series and p3_closed_form; at this order
-#: r_series(3, N) takes 0.19-0.24 s and p_numerator's product and tail check
-#: 0.26-0.33 s more (2-vCPU Xeon, cold)
+#: hard bound on the truncation order of r_series, p_numerator and p3_closed_form; at
+#: this order r_series(3, N) takes 0.19-0.24 s and p_numerator(3, N), which does not
+#: call it, 0.19-0.23 s with its tail check (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
@@ -155,20 +165,35 @@ def r_series(n: int, N: int) -> VSeries:
     return VSeries(N, coeffs)
 
 
+def _factor_loop(coeffs: list, subsets, nv: int, width: int) -> None:
+    """Multiply the packed v^0.. coefficients in place by (1 - x0 x_S v) for
+    each subset S of {1..nv-1}, truncated at the last one.  They hold no
+    zero, and none is left: a term that cancels is dropped at once."""
+    for subset in subsets:
+        shift = _key(tuple(int(i == 0 or i in subset) for i in range(nv)), width)
+        for k in range(len(coeffs) - 1, 0, -1):  # top down: coeffs[k - 1] is not yet updated
+            acc = coeffs[k]
+            get = acc.get
+            for key, c in coeffs[k - 1].items():
+                key += shift
+                s = get(key, 0) - c
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+
+
 def _times_linear_factors(acc: VSeries, sizes) -> VSeries:
     """acc times (1 - x0 x_S v) over the subsets S of {1..n} with |S| in sizes,
     where n + 1 is the number of variables of acc, truncated at its order."""
-    nv, order = acc.nvars, acc.order
+    nv = acc.nvars
     subsets = [s for size in sizes for s in combinations(range(1, nv), size)]
     # a factor raises each x-degree by at most one; its coefficient 1 keeps the p-range
     xdeg, pabs = _bounds(acc.coeffs)
     width = _width(xdeg + len(subsets), pabs)
     coeffs = [_pack(c, width) for c in acc.coeffs]
-    for subset in subsets:
-        shift = _key(tuple(int(i == 0 or i in subset) for i in range(nv)), width)
-        for k in range(order, 0, -1):  # top down: coeffs[k - 1] is not yet updated
-            _add_into(coeffs[k], coeffs[k - 1], -1, shift)
-    return VSeries(order, [_unpack(c, nv, width) for c in coeffs])
+    _factor_loop(coeffs, subsets, nv, width)
+    return VSeries(acc.order, [_unpack(c, nv, width) for c in coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -181,18 +206,62 @@ def q_poly(n: int) -> VSeries:
 
 @lru_cache(maxsize=None)
 def p_numerator(n: int, N: int) -> VSeries:
-    """Numerator polynomial: r_series times Q_n's linear factors, with the vanishing tail checked.
+    """Numerator polynomial P_n = R_n Q_n, with the vanishing tail checked.
 
-    Asserts that coefficients v^(2^n - 1) .. v^N of the product vanish and
-    returns the degree-(2^n - 2) polynomial part.
+    Works on the alternant sums A_m of ``spherical._alternant_sums``, the
+    signatures grouped by top part m.  The factor (1 - x0 v) of Q_n undoes
+    r_series's running sum over m, so V R_n Q_n is sum_m x0^m A_m v^m times
+    the 2^n - 1 other factors (1 - x0 x_S v), V the Vandermonde.  V is not a
+    zero divisor, so a coefficient of V P_n vanishes exactly when that of
+    P_n does, and each factor keeps V P_n antisymmetric.  Asserts that
+    coefficients v^(2^n - 1) .. v^N vanish.  Each of v^0 .. v^(2^n - 2) is
+    divided by V at its strictly decreasing exponents, and the quotient is
+    certified by multiplying it back by V.  Returns the degree-(2^n - 2)
+    polynomial part.
     """
     if N < 2**n + 4:
         raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
-    prod = _times_linear_factors(r_series(n, N), range(n + 1))
-    for k in range(2**n - 1, N + 1):
-        if prod.coeffs[k].terms:
-            raise NonVanishingTail(f"coefficient of v^{k} is nonzero: {prod.coeffs[k]}")
-    return prod.truncate(2**n - 2)
+    if not 1 <= n <= 3:
+        raise ValueError("genus 1..3 only")
+    _check_order(N)
+    nv, top = n + 1, 2**n - 2
+    by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
+    # x_i lies in 2^(n-1) of the factors, each raising its degree by one
+    width, sums = _alternant_sums(by_top, n, N + 2 ** (n - 1))
+    # each permutation w of the positions, with the sign of the sort of a
+    # strictly decreasing exponent permuted by w
+    perms = [(w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n))]
+    coeffs = []
+    for m, anti in enumerate(sums):
+        # x0^m A_m, each orbit written out with its signs
+        out = {}
+        for e, c in _unpack(anti, n, width).terms.items():
+            for w, sign in perms:
+                x = _key((m, *(e[i] for i in w)), width)
+                for pe, f in c.terms.items():
+                    out[x + pe] = sign * f
+        coeffs.append(out)
+    _factor_loop(coeffs, [s for size in range(1, nv) for s in combinations(range(1, nv), size)], nv, width)
+    for k in range(top + 1, N + 1):
+        if coeffs[k]:
+            raise NonVanishingTail(
+                f"coefficient of v^{k} is nonzero: V times it is {_unpack(coeffs[k], nv, width)}"
+            )
+    vdm = {_key((0, *w), width): _sort_sign(w) for w in permutations(range(n - 1, -1, -1))}
+    head = []
+    for k in range(top + 1):
+        whole = _unpack(coeffs[k], nv, width)
+        strict = {e[1:]: c.terms for e, c in whole.terms.items() if all(map(gt, e[1:], e[2:]))}
+        quot = _div_vandermonde(strict, n)
+        p_k = _orbit_sums(
+            _unpack({_key((k, *a), width, pe): c for a, q in quot.items() for pe, c in q.items()}, nv, width)
+        )
+        back: dict = {}
+        _mul_into(back, _pack(p_k, width), vdm)
+        if {key: c for key, c in back.items() if c} != coeffs[k]:
+            raise NotDivisible(f"coefficient of v^{k} is not V times its quotient")
+        head.append(p_k)
+    return VSeries(top, head)
 
 
 def p3_closed_form(N: int) -> VSeries:
@@ -335,15 +404,32 @@ def p3_in_generators() -> list[HeckeExpr]:
     return coeffs
 
 
-@dataclass(frozen=True)
 class QCoefficients:
-    """The nine v-coefficients t_0..t_8 of the denominator over the Hecke ring."""
+    """The nine v-coefficients t_0..t_8 of the denominator over the Hecke ring.
 
-    t: tuple
+    Immutable; equal, and hashed alike, when the coefficients are equal.
+    """
 
-    def __post_init__(self):
-        if len(self.t) != 9 or self.t[0] != HeckeExpr.const(1):
+    __slots__ = ("t",)
+
+    def __init__(self, t: tuple):
+        if len(t) != 9 or t[0] != HeckeExpr.const(1):
             raise ValueError("need t_0..t_8 with t_0 = 1")
+        object.__setattr__(self, "t", t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of QCoefficients")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.t == other.t
+
+    def __hash__(self):
+        return hash((self.t,))
+
+    def __repr__(self):
+        return f"QCoefficients(t={self.t!r})"
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.t]

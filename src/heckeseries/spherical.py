@@ -151,17 +151,19 @@ def _div_vandermonde(anti: dict, n: int) -> dict:
     return quot
 
 
-def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
+def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
     """The field width and, for each group of signatures, the packed sum over
-    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) / V at its
-    weakly decreasing exponents (D the deformed product, V the Vandermonde).
+    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) at its strictly
+    decreasing exponents, packed in the n variables x1..xn (D the deformed
+    product).
 
-    All three steps are linear and v_lambda depends only on the multiplicity
+    Both steps are linear and v_lambda depends only on the multiplicity
     class of lambda.  Each term c x^gamma p^e of D adds sgn * c p^(e + pshift)
     to its class's antisymmetric sum at sort(lambda + gamma), sgn the sign of
     the sort, unless lambda + gamma has a repeated entry.  Each class's sum
-    is divided by its norm, exactly as ``_div_packed`` certifies, and the
-    group's sum once by V.  xdeg must be at least every part.
+    is divided by its norm, exactly as ``_div_packed`` certifies.  xdeg must
+    be at least every part; the width fits x-exponents up to xdeg + n - 1.
+    Zeros may remain.
     """
     reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
     norms = {cls: _multiplicity_norm(lam, n) for cls, lam in reps.items()}
@@ -184,6 +186,19 @@ def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, lis
         for cls, total in totals.items():
             # the normalized sum is always Laurent
             _add_into(anti, _div_packed(total, norms[cls].terms, n, width))
+        out.append(anti)
+    return width, out
+
+
+def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
+    """The field width and, for each group of signatures, the packed sum over
+    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) / V at its
+    weakly decreasing exponents (V the Vandermonde): ``_alternant_sums``,
+    then one step by V per group.
+    """
+    width, sums = _alternant_sums(groups, n, xdeg, pshift)
+    out = []
+    for anti in sums:
         quot = _div_vandermonde({b: c.terms for b, c in _unpack(anti, n, width).terms.items()}, n)
         out.append({_key((0,) + alpha, width, pe): c for alpha, q in quot.items() for pe, c in q.items()})
     return width, out

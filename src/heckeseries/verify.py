@@ -111,7 +111,8 @@ def _expected_p3() -> VSeries:
 
 
 def check_numerator_identity():
-    """r_series * q_poly has a vanishing tail and matches the frozen expansion; both routes agree."""
+    """R_3 Q_3, formed on the alternant sums (``p_numerator``), has a vanishing
+    tail and matches the frozen expansion; the closed form agrees."""
     num = p_numerator(3, DEFAULT_ORDER)  # raises NonVanishingTail on failure
     if num != _expected_p3():
         return False, "numerator differs from the published polynomial"

@@ -771,7 +771,7 @@ def test_numerator_product_matches_padded_product(n, N):
     prod = _times_linear_factors(r_series(n, N), range(n + 1))
     assert prod == ref_numerator_product(n, N)
     assert p_numerator(n, N) == prod.truncate(2**n - 2)
-    # the in-place factor loop leaves zeros for _unpack to drop
+    # the in-place factor loop drops each zero as it arises
     for c in prod.coeffs:
         assert_canonical(c)
 

@@ -1,6 +1,8 @@
 """The package imports nothing outside itself and the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +29,11 @@ def test_stdlib_only():
         if name not in allowed
     }
     assert not foreign, sorted(foreign)
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # -S keeps site's own imports out of the count; src/ comes from PYTHONPATH
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    code = "import sys, heckeseries.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -7,11 +7,13 @@ from math import prod
 import pytest
 
 from heckeseries import series
-from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
+from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, _key, p
 from heckeseries.errors import (
     EnumerationTooLarge,
     NonUniqueSolution,
+    NonVanishingTail,
     NoSolution,
+    NotDivisible,
     NotLaurent,
     NotSymmetric,
 )
@@ -27,6 +29,7 @@ from heckeseries.series import (
     _generator_basis,
     _generator_image_power,
     _solve_fraction_free,
+    _times_linear_factors,
     express_in_generators,
     functional_eq_check,
     generator_monomials,
@@ -137,6 +140,58 @@ class TestPNumerator:
     def test_insufficient_margin_rejected(self):
         with pytest.raises(ValueError):
             p_numerator(3, 8)
+
+    def test_checks_in_order(self):
+        # the margin first, then the genus, then the order bound
+        with pytest.raises(ValueError, match="margin"):
+            p_numerator(4, 12)
+        with pytest.raises(ValueError, match="genus"):
+            p_numerator(4, 20)
+        with pytest.raises(EnumerationTooLarge):
+            p_numerator(3, SERIES_ORDER_BOUND + 1)
+
+    @pytest.mark.parametrize("n, N", [(2, 20), (3, SERIES_ORDER_BOUND)])
+    def test_matches_r_series_route(self, n, N):
+        # R_n times all of Q_n's factors, unpacked in full: its tail is empty
+        # and its head is the numerator the alternant sums give
+        prod = _times_linear_factors(r_series(n, N), range(n + 1))
+        assert all(c.is_zero() for c in prod.coeffs[2**n - 1 :])
+        assert p_numerator(n, N) == prod.truncate(2**n - 2)
+
+    @pytest.mark.parametrize("n, N", [(1, 8), (2, 10), (3, 12)])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_tail_term_raises(self, monkeypatch, n, N, at_end):
+        # one more alternant term, x0^delta V, at delta = 2^n - 1 or N: the
+        # first nonzero coefficient of V P_n is v^delta
+        delta = N if at_end else 2**n - 1
+        real = series._alternant_sums
+
+        def with_extra_term(groups, genus, xdeg, pshift=0):
+            width, sums = real(groups, genus, xdeg, pshift)
+            key = _key(tuple(range(genus - 1, -1, -1)), width)
+            sums[delta][key] = sums[delta].get(key, 0) + 1
+            return width, sums
+
+        monkeypatch.setattr(series, "_alternant_sums", with_extra_term)
+        with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{delta} is nonzero"):
+            p_numerator.__wrapped__(n, N)
+
+    @pytest.mark.parametrize("n, N", [(1, 8), (2, 10), (3, 12)])
+    def test_wrong_quotient_raises(self, monkeypatch, n, N):
+        # a quotient by V that is off by p at the constant term fails the
+        # multiplication back by V
+        real = series._div_vandermonde
+
+        def off_by_p(anti, genus):
+            quot = real(anti, genus)
+            one = (0,) * genus
+            if one in quot:
+                quot[one] = {**quot[one], 1: 1}
+            return quot
+
+        monkeypatch.setattr(series, "_div_vandermonde", off_by_p)
+        with pytest.raises(NotDivisible, match=r"^coefficient of v\^0 "):
+            p_numerator.__wrapped__(n, N)
 
 
 class TestClosedForm:
@@ -373,6 +428,18 @@ class TestTheorems:
     def test_qcoefficients_requires_unit_head(self):
         with pytest.raises(ValueError):
             QCoefficients((HeckeExpr.const(2),) + (HeckeExpr.const(0),) * 8)
+        with pytest.raises(ValueError):
+            QCoefficients((HeckeExpr.const(1),) * 8)
+
+    def test_qcoefficients_value_semantics(self):
+        qc = q3_in_generators()
+        other = QCoefficients(tuple(qc.t))
+        assert other == qc and hash(other) == hash(qc)
+        assert qc != QCoefficients(qc.t[:8] + (HeckeExpr.const(0),))
+        assert qc != qc.t
+        assert repr(qc) == f"QCoefficients(t={qc.t!r})"
+        with pytest.raises(AttributeError):
+            qc.t = other.t
 
 
 class TestSpecialization:
