@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import heapq
 import operator
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, Union
 
 from .errors import (
     DivisionByZero,
@@ -35,8 +35,6 @@ from .errors import (
     UnassignedVariable,
     VarMismatch,
 )
-
-Scalar = Union[int, Fraction, "PrimeLaurent"]
 
 
 def _exact(c):
@@ -224,6 +222,8 @@ PL_ZERO = PrimeLaurent()
 PL_ONE = PrimeLaurent.const(1)
 #: the formal prime itself
 p = PrimeLaurent.p_power(1)
+#: a coefficient: an int, a Fraction or a Laurent polynomial in p
+Scalar = int | Fraction | PrimeLaurent
 
 
 def _laurent(value: Scalar) -> PrimeLaurent:
@@ -569,7 +569,7 @@ class XPoly(_Ring):
             quot = {k: c * db for k, c in quot.items()}
         return _unpack(quot, self.nvars, width, type(self), da)
 
-    def substitute(self, assignment: Mapping[int, Union["XPoly", Scalar]]) -> "XPoly":
+    def substitute(self, assignment: Mapping[int, XPoly | Scalar]) -> "XPoly":
         """Ring-homomorphism image under variable -> polynomial assignment.
 
         The image lies in the ring of the polynomial values, which must all

@@ -14,7 +14,6 @@ from .errors import EnumerationTooLarge, HeckeError
 from .golden import golden_order
 from .render import (
     hecke_series_text,
-    hecke_text,
     series_text,
     symmetric_text,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from operator import gt
 
 from .algebra import (
     PL_ZERO,
@@ -21,9 +20,9 @@ from .algebra import (
     XPoly,
     _add_into,
     _bounds,
+    _div_packed,
     _key,
     _laurent,
-    _mul_into,
     _pack,
     _unpack,
     _width,
@@ -40,10 +39,8 @@ from .errors import (
 )
 from .spherical import (
     _alternant_sums,
-    _div_vandermonde,
     _hl_sums,
     _sort_sign,
-    omega_hl,
     sp_image_pbracket,
     sp_image_Ti,
     sp_image_Tp,
@@ -53,8 +50,9 @@ from .symmetric import _orbit_sums, signatures, to_msym, x0_weight
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
 #: hard bound on the truncation order of r_series, p_numerator and p3_closed_form; at
-#: this order r_series(3, N) takes 0.19-0.24 s and p_numerator(3, N), which does not
-#: call it, 0.19-0.23 s with its tail check (2-vCPU Xeon, cold)
+#: this order r_series(3, N) takes 0.19-0.24 s, p_numerator(3, N), which does not
+#: call it, 0.13-0.22 s with its tail check, and p3_closed_form(N) 0.20-0.33 s
+#: (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
@@ -215,9 +213,10 @@ def p_numerator(n: int, N: int) -> VSeries:
     zero divisor, so a coefficient of V P_n vanishes exactly when that of
     P_n does, and each factor keeps V P_n antisymmetric.  Asserts that
     coefficients v^(2^n - 1) .. v^N vanish.  Each of v^0 .. v^(2^n - 2) is
-    divided by V at its strictly decreasing exponents, and the quotient is
-    certified by multiplying it back by V.  Returns the degree-(2^n - 2)
-    polynomial part.
+    divided whole by V with the kernel's exact division, which raises
+    NotDivisible unless the quotient is exact, and the quotient must be
+    symmetric in x1..xn (``to_msym`` raises NotSymmetric otherwise).
+    Returns the degree-(2^n - 2) polynomial part.
     """
     if N < 2**n + 4:
         raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
@@ -250,16 +249,12 @@ def p_numerator(n: int, N: int) -> VSeries:
     vdm = {_key((0, *w), width): _sort_sign(w) for w in permutations(range(n - 1, -1, -1))}
     head = []
     for k in range(top + 1):
-        whole = _unpack(coeffs[k], nv, width)
-        strict = {e[1:]: c.terms for e, c in whole.terms.items() if all(map(gt, e[1:], e[2:]))}
-        quot = _div_vandermonde(strict, n)
-        p_k = _orbit_sums(
-            _unpack({_key((k, *a), width, pe): c for a, q in quot.items() for pe, c in q.items()}, nv, width)
-        )
-        back: dict = {}
-        _mul_into(back, _pack(p_k, width), vdm)
-        if {key: c for key, c in back.items() if c} != coeffs[k]:
-            raise NotDivisible(f"coefficient of v^{k} is not V times its quotient")
+        try:
+            quot = _div_packed(coeffs[k], vdm, nv, width)
+        except NotDivisible as exc:
+            raise NotDivisible(f"coefficient of v^{k} is not V times a polynomial: {exc}") from exc
+        p_k = _unpack(quot, nv, width)
+        to_msym(p_k)  # raises NotSymmetric unless the quotient is symmetric in x1..xn
         head.append(p_k)
     return VSeries(top, head)
 
@@ -269,19 +264,17 @@ def p3_closed_form(N: int) -> VSeries:
 
     The kernel sum over omega(t(1, p^a, p^b)) weighted by p^(2a+b) (x0 v)^b,
     multiplied by the six linear factors (1 - x0 x_S v) with |S| in {1, 2}.
-    Each v^b coefficient of the kernel is summed in one packed dict, the
-    powers of p and x0 added as key offsets.
+    The weight p^(2a+b) cancels omega's prefactor p^(-(b+2a)), so each v^b
+    coefficient is x0^b times the sum over a <= b of
+    Antisym(x^(b,a,0) D) / V / v_(b,a,0)(1/p): one group of
+    ``spherical._hl_sums``, whose orbits are written out once.
     """
     _check_order(N)
+    width, sums = _hl_sums([[(b, a, 0) for a in range(b + 1)] for b in range(N + 1)], 3, N)
     kernel_coeffs = []
-    for b in range(N + 1):
-        omegas = [omega_hl((b, a, 0), 3) for a in range(b + 1)]
-        _, pabs = _bounds(omegas)
-        width = _width(b, pabs + 3 * b)
-        acc: dict = {}
-        for a, omega in enumerate(omegas):
-            _add_into(acc, _pack(omega, width, _key((b, 0, 0, 0), width, 2 * a + b)))
-        kernel_coeffs.append(_unpack(acc, 4, width))
+    for b, packed in enumerate(sums):
+        x0 = _key((b, 0, 0, 0), width)
+        kernel_coeffs.append(_orbit_sums(_unpack({k + x0: c for k, c in packed.items()}, 4, width)))
     return _times_linear_factors(VSeries(N, kernel_coeffs), (1, 2))
 
 

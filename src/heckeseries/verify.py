@@ -21,7 +21,6 @@ from .series import (
     p_numerator,
     q3_in_generators,
     q_poly,
-    r_series,
     specialize_nu,
     express_in_generators,
 )

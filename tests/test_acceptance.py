@@ -12,7 +12,7 @@ import pytest
 from heckeseries import verify
 
 #: time budgets in seconds, by check name.  On a 2-vCPU Xeon (Python 3.11.7),
-#: cold, the genus-3 numerator identity took 0.10-0.18 s, the coset oracle
+#: cold, the genus-3 numerator identity took 0.06-0.10 s, the coset oracle
 #: equivalence 0.05-0.08 s and the property suites 1.2-1.3 s; each budget
 #: leaves room for the host's 1.8x speed swings.
 BUDGETS = {

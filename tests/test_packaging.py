@@ -1,10 +1,13 @@
-"""The package imports nothing outside itself and the standard library."""
+"""The package imports nothing outside itself and the standard library, no
+name it never reads, and neither dataclasses nor typing for the CLI."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "heckeseries"
 
@@ -31,9 +34,34 @@ def test_stdlib_only():
     assert not foreign, sorted(foreign)
 
 
-def test_cli_import_leaves_out_dataclasses():
-    # -S keeps site's own imports out of the count; src/ comes from PYTHONPATH
+def unused_imports(path):
+    """Names one source file imports and never reads.  The base of an
+    attribute chain is a Name node too, and annotations are parsed even
+    under ``from __future__ import annotations``, so both count as reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export
+    sources = sorted(set(PACKAGE_DIR.rglob("*.py")) - {PACKAGE_DIR / "__init__.py"})
+    assert sources
+    unused = {f"{path.name}: {name}" for path in sources for name in unused_imports(path)}
+    assert not unused, sorted(unused)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "typing"])
+def test_cli_import_leaves_out_dataclasses(module):
+    # -S keeps site's own imports out of the count (a site module may load
+    # typing itself); src/ comes from PYTHONPATH
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
-    code = "import sys, heckeseries.cli; print('dataclasses' in sys.modules)"
+    code = f"import sys, heckeseries.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"

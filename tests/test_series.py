@@ -42,7 +42,7 @@ from heckeseries.series import (
     r_series,
     specialize_nu,
 )
-from heckeseries.spherical import omega_hl, sp_image_pbracket, sp_image_Tp
+from heckeseries.spherical import sp_image_pbracket, sp_image_Tp
 from heckeseries.symmetric import msym, to_msym, x0_weight
 
 
@@ -176,21 +176,38 @@ class TestPNumerator:
         with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{delta} is nonzero"):
             p_numerator.__wrapped__(n, N)
 
-    @pytest.mark.parametrize("n, N", [(1, 8), (2, 10), (3, 12)])
-    def test_wrong_quotient_raises(self, monkeypatch, n, N):
-        # a quotient by V that is off by p at the constant term fails the
-        # multiplication back by V
-        real = series._div_vandermonde
+    # the head certificate: for n = 1, V = 1, so each head coefficient is its
+    # own quotient, symmetric in x1 alone, and there is nothing to certify
+    @pytest.mark.parametrize("n, N", [(2, 10), (3, 12)])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_head_not_divisible_raises(self, monkeypatch, n, N, last):
+        # x0^k added to x0^k V P_k, at k = 0 or 2^n - 2: no multiple of V
+        k = 2**n - 2 if last else 0
+        real = series._factor_loop
 
-        def off_by_p(anti, genus):
-            quot = real(anti, genus)
-            one = (0,) * genus
-            if one in quot:
-                quot[one] = {**quot[one], 1: 1}
-            return quot
+        def with_constant(coeffs, subsets, nv, width):
+            real(coeffs, subsets, nv, width)
+            key = _key((k,) + (0,) * n, width)
+            coeffs[k][key] = coeffs[k].get(key, 0) + 1
 
-        monkeypatch.setattr(series, "_div_vandermonde", off_by_p)
-        with pytest.raises(NotDivisible, match=r"^coefficient of v\^0 "):
+        monkeypatch.setattr(series, "_factor_loop", with_constant)
+        with pytest.raises(NotDivisible, match=rf"^coefficient of v\^{k} "):
+            p_numerator.__wrapped__(n, N)
+
+    @pytest.mark.parametrize("n, N", [(2, 10), (3, 12)])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_head_not_symmetric_raises(self, monkeypatch, n, N, last):
+        # x0^k V P_k times x1 is V times x0^k P_k x1, which is not symmetric
+        k = 2**n - 2 if last else 0
+        real = series._factor_loop
+
+        def times_x1(coeffs, subsets, nv, width):
+            real(coeffs, subsets, nv, width)
+            shift = _key((0, 1) + (0,) * (n - 1), width)
+            coeffs[k] = {key + shift: c for key, c in coeffs[k].items()}
+
+        monkeypatch.setattr(series, "_factor_loop", times_x1)
+        with pytest.raises(NotSymmetric):
             p_numerator.__wrapped__(n, N)
 
 
@@ -210,14 +227,21 @@ class TestClosedForm:
         assert cf.truncate(6) == p_numerator(3, DEFAULT_ORDER)
         assert cf.degree() <= 6
 
-    def test_order_bound(self):
+    def test_agrees_with_product_route_at_the_bound(self):
+        cf = p3_closed_form(SERIES_ORDER_BOUND)
+        assert cf.truncate(6) == p_numerator(3, SERIES_ORDER_BOUND)
+        assert all(c.is_zero() for c in cf.coeffs[7:])
+
+    def test_order_bound(self, monkeypatch):
         # refused as r_series refuses it, before any spherical value is computed
-        misses = omega_hl.cache_info().misses
+        def unreachable(*args):
+            raise AssertionError("spherical sums computed for a refused order")
+
+        monkeypatch.setattr(series, "_hl_sums", unreachable)
         with pytest.raises(EnumerationTooLarge):
             p3_closed_form(SERIES_ORDER_BOUND + 1)
         with pytest.raises(ValueError):
             p3_closed_form(-1)
-        assert omega_hl.cache_info().misses == misses
 
 
 class TestHeckeImage:
