@@ -19,11 +19,9 @@ from .algebra import (
     VSeries,
     XPoly,
     _add_into,
-    _bounds,
     _div_packed,
     _key,
     _laurent,
-    _pack,
     _unpack,
     _width,
 )
@@ -51,7 +49,7 @@ from .symmetric import _orbit_sums, signatures, to_msym, x0_weight
 DEFAULT_ORDER = 12
 #: hard bound on the truncation order of r_series, p_numerator and p3_closed_form; at
 #: this order r_series(3, N) takes 0.19-0.24 s, p_numerator(3, N), which does not
-#: call it, 0.13-0.22 s with its tail check, and p3_closed_form(N) 0.20-0.33 s
+#: call it, 0.13-0.22 s with its tail check, and p3_closed_form(N) 0.026-0.043 s
 #: (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 
@@ -181,25 +179,50 @@ def _factor_loop(coeffs: list, subsets, nv: int, width: int) -> None:
                     del acc[key]
 
 
-def _times_linear_factors(acc: VSeries, sizes) -> VSeries:
-    """acc times (1 - x0 x_S v) over the subsets S of {1..n} with |S| in sizes,
-    where n + 1 is the number of variables of acc, truncated at its order."""
-    nv = acc.nvars
-    subsets = [s for size in sizes for s in combinations(range(1, nv), size)]
-    # a factor raises each x-degree by at most one; its coefficient 1 keeps the p-range
-    xdeg, pabs = _bounds(acc.coeffs)
-    width = _width(xdeg + len(subsets), pabs)
-    coeffs = [_pack(c, width) for c in acc.coeffs]
-    _factor_loop(coeffs, subsets, nv, width)
-    return VSeries(acc.order, [_unpack(c, nv, width) for c in coeffs])
-
-
 @lru_cache(maxsize=None)
 def q_poly(n: int) -> VSeries:
     """The degree-2^n denominator: product of (1 - x0 x_S v) over subsets S of {1..n}."""
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
-    return _times_linear_factors(VSeries.one(2**n, n + 1), range(n + 1))
+    nv, width = n + 1, _width(2**n, 0)
+    coeffs = [{0: 1}] + [{} for _ in range(2**n)]
+    _factor_loop(coeffs, [s for size in range(nv) for s in combinations(range(1, nv), size)], nv, width)
+    return VSeries(2**n, [_unpack(c, nv, width) for c in coeffs])
+
+
+def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
+    """The field width and the packed coefficients v^0..v^N, one per group, of
+    V sum_m x0^m A_m v^m times (1 - x0 x_S v) over the subsets S of {1..n}
+    with |S| in sizes: A_m the alternant sum of group m (``_alternant_sums``)
+    and V the Vandermonde in x1..xn.  No coefficient holds a zero."""
+    subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
+    # x1 lies in as many of the factors as any x_i, each raising its degree by one
+    width, sums = _alternant_sums(groups, n, len(groups) - 1 + sum(1 in s for s in subsets))
+    # each permutation w of the positions, with the sign of the sort of a
+    # strictly decreasing exponent permuted by w
+    perms = [(w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n))]
+    coeffs = []
+    for m, anti in enumerate(sums):
+        # x0^m A_m, each orbit written out with its signs
+        out = {}
+        for e, c in _unpack(anti, n, width).terms.items():
+            for w, sign in perms:
+                x = _key((m, *(e[i] for i in w)), width)
+                for pe, f in c.terms.items():
+                    out[x + pe] = sign * f
+        coeffs.append(out)
+    _factor_loop(coeffs, subsets, n + 1, width)
+    return width, coeffs
+
+
+def _div_v(packed: dict, k: int, n: int, width: int) -> XPoly:
+    """The packed coefficient of v^k divided by V, the Vandermonde in x1..xn, certified exact."""
+    vdm = {_key((0, *w), width): _sort_sign(w) for w in permutations(range(n - 1, -1, -1))}
+    try:
+        quot = _div_packed(packed, vdm, n + 1, width)
+    except NotDivisible as exc:
+        raise NotDivisible(f"coefficient of v^{k} is not V times a polynomial: {exc}") from exc
+    return _unpack(quot, n + 1, width)
 
 
 @lru_cache(maxsize=None)
@@ -223,37 +246,17 @@ def p_numerator(n: int, N: int) -> VSeries:
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
     _check_order(N)
-    nv, top = n + 1, 2**n - 2
+    top = 2**n - 2
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
-    # x_i lies in 2^(n-1) of the factors, each raising its degree by one
-    width, sums = _alternant_sums(by_top, n, N + 2 ** (n - 1))
-    # each permutation w of the positions, with the sign of the sort of a
-    # strictly decreasing exponent permuted by w
-    perms = [(w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n))]
-    coeffs = []
-    for m, anti in enumerate(sums):
-        # x0^m A_m, each orbit written out with its signs
-        out = {}
-        for e, c in _unpack(anti, n, width).terms.items():
-            for w, sign in perms:
-                x = _key((m, *(e[i] for i in w)), width)
-                for pe, f in c.terms.items():
-                    out[x + pe] = sign * f
-        coeffs.append(out)
-    _factor_loop(coeffs, [s for size in range(1, nv) for s in combinations(range(1, nv), size)], nv, width)
+    width, coeffs = _v_times_numerator(by_top, n, range(1, n + 1))
     for k in range(top + 1, N + 1):
         if coeffs[k]:
             raise NonVanishingTail(
-                f"coefficient of v^{k} is nonzero: V times it is {_unpack(coeffs[k], nv, width)}"
+                f"coefficient of v^{k} is nonzero: V times it is {_unpack(coeffs[k], n + 1, width)}"
             )
-    vdm = {_key((0, *w), width): _sort_sign(w) for w in permutations(range(n - 1, -1, -1))}
     head = []
     for k in range(top + 1):
-        try:
-            quot = _div_packed(coeffs[k], vdm, nv, width)
-        except NotDivisible as exc:
-            raise NotDivisible(f"coefficient of v^{k} is not V times a polynomial: {exc}") from exc
-        p_k = _unpack(quot, nv, width)
+        p_k = _div_v(coeffs[k], k, n, width)
         to_msym(p_k)  # raises NotSymmetric unless the quotient is symmetric in x1..xn
         head.append(p_k)
     return VSeries(top, head)
@@ -264,18 +267,15 @@ def p3_closed_form(N: int) -> VSeries:
 
     The kernel sum over omega(t(1, p^a, p^b)) weighted by p^(2a+b) (x0 v)^b,
     multiplied by the six linear factors (1 - x0 x_S v) with |S| in {1, 2}.
-    The weight p^(2a+b) cancels omega's prefactor p^(-(b+2a)), so each v^b
-    coefficient is x0^b times the sum over a <= b of
-    Antisym(x^(b,a,0) D) / V / v_(b,a,0)(1/p): one group of
-    ``spherical._hl_sums``, whose orbits are written out once.
+    The weight p^(2a+b) cancels omega's prefactor p^(-(b+2a)), so V times
+    the kernel's v^b coefficient is x0^b times the alternant sum of the
+    group (b, a, 0), a <= b.  As in ``p_numerator``, each of v^0 .. v^N of
+    V times the product is divided whole by V, which certifies it.
     """
     _check_order(N)
-    width, sums = _hl_sums([[(b, a, 0) for a in range(b + 1)] for b in range(N + 1)], 3, N)
-    kernel_coeffs = []
-    for b, packed in enumerate(sums):
-        x0 = _key((b, 0, 0, 0), width)
-        kernel_coeffs.append(_orbit_sums(_unpack({k + x0: c for k, c in packed.items()}, 4, width)))
-    return _times_linear_factors(VSeries(N, kernel_coeffs), (1, 2))
+    groups = [[(b, a, 0) for a in range(b + 1)] for b in range(N + 1)]
+    width, coeffs = _v_times_numerator(groups, 3, (1, 2))
+    return VSeries(N, [_div_v(c, k, 3, width) for k, c in enumerate(coeffs)])
 
 
 # -- indeterminate-coefficient solve ---------------------------------

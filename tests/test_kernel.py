@@ -32,13 +32,13 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _unpack, p
+from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, _pack, _unpack, _width, p
 from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
     T_P,
     HeckeExpr,
-    _times_linear_factors,
+    _factor_loop,
     express_in_generators,
     generator_monomials,
     hecke_image,
@@ -768,11 +768,11 @@ def test_r_series_matches_per_chain_sum(n, N):
 
 @pytest.mark.parametrize("n, N", [(n, N) for n in (1, 2, 3) for N in range(2**n + 4, 13)])
 def test_numerator_product_matches_padded_product(n, N):
-    prod = _times_linear_factors(r_series(n, N), range(n + 1))
-    assert prod == ref_numerator_product(n, N)
-    assert p_numerator(n, N) == prod.truncate(2**n - 2)
-    # the in-place factor loop drops each zero as it arises
-    for c in prod.coeffs:
+    prod = ref_numerator_product(n, N)
+    assert all(c.is_zero() for c in prod.coeffs[2**n - 1 :])
+    num = p_numerator(n, N)
+    assert num == prod.truncate(2**n - 2)
+    for c in num.coeffs:
         assert_canonical(c)
 
 
@@ -811,13 +811,19 @@ def test_p3_closed_form_matches_binomial_products():
         )
     )
 )
-def test_times_linear_factors_matches_binomial_products(case):
+def test_factor_loop_matches_binomial_products(case):
     coeffs, sizes = case
+    nv = coeffs[0].nvars
+    subsets = [sub for size in sorted(sizes) for sub in combinations(range(1, nv), size)]
+    # a factor raises each x-degree by at most one; its coefficient 1 keeps the p-range
+    xdeg, pabs = _bounds(coeffs)
+    width = _width(xdeg + len(subsets), pabs)
+    packed = [_pack(c, width) for c in coeffs]
+    _factor_loop(packed, subsets, nv, width)
+    # the in-place loop drops each zero as it arises
+    assert all(all(c.values()) for c in packed)
     s = VSeries(len(coeffs) - 1, coeffs)
-    prod = _times_linear_factors(s, sorted(sizes))
-    assert prod == ref_times_factors(s, sorted(sizes))
-    for c in prod.coeffs:
-        assert_canonical(c)
+    assert VSeries(s.order, [_unpack(c, nv, width) for c in packed]) == ref_times_factors(s, sorted(sizes))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Unit tests for the generating series, the numerator/denominator
 polynomials over the Hecke ring, and the indeterminate-coefficient solve."""
 
+from functools import partial
 from itertools import permutations
 from math import prod
 
@@ -29,7 +30,6 @@ from heckeseries.series import (
     _generator_basis,
     _generator_image_power,
     _solve_fraction_free,
-    _times_linear_factors,
     express_in_generators,
     functional_eq_check,
     generator_monomials,
@@ -43,7 +43,7 @@ from heckeseries.series import (
     specialize_nu,
 )
 from heckeseries.spherical import sp_image_pbracket, sp_image_Tp
-from heckeseries.symmetric import msym, to_msym, x0_weight
+from heckeseries.symmetric import msym, signatures, to_msym, x0_weight
 
 
 class TestRSeries:
@@ -152,9 +152,9 @@ class TestPNumerator:
 
     @pytest.mark.parametrize("n, N", [(2, 20), (3, SERIES_ORDER_BOUND)])
     def test_matches_r_series_route(self, n, N):
-        # R_n times all of Q_n's factors, unpacked in full: its tail is empty
-        # and its head is the numerator the alternant sums give
-        prod = _times_linear_factors(r_series(n, N), range(n + 1))
+        # R_n times Q_n zero-padded to order N: its tail is empty and its head
+        # is the numerator the alternant sums give
+        prod = r_series(n, N) * VSeries(N, q_poly(n).coeffs + [XPoly(n + 1)] * (N - 2**n))
         assert all(c.is_zero() for c in prod.coeffs[2**n - 1 :])
         assert p_numerator(n, N) == prod.truncate(2**n - 2)
 
@@ -176,13 +176,33 @@ class TestPNumerator:
         with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{delta} is nonzero"):
             p_numerator.__wrapped__(n, N)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("at_bound", [False, True])
+    def test_last_part_zero_route(self, n, at_bound):
+        # P_n = Antisym(kernel Q_n) / V: the signatures of last part 0, grouped
+        # by top part, times the factors (1 - x0 x_S v) with 1 <= |S| <= n - 1
+        N = SERIES_ORDER_BOUND if at_bound else 2**n + 4
+        groups = [[lam for lam in signatures(m, n) if lam[0] == m and lam[-1] == 0] for m in range(N + 1)]
+        width, coeffs = series._v_times_numerator(groups, n, range(1, n))
+        quots = [series._div_v(c, k, n, width) for k, c in enumerate(coeffs)]
+        top = 2**n - 2
+        assert VSeries(top, quots[: top + 1]) == p_numerator(n, N)
+        assert all(q.is_zero() for q in quots[top + 1 :])
+
     # the head certificate: for n = 1, V = 1, so each head coefficient is its
-    # own quotient, symmetric in x1 alone, and there is nothing to certify
-    @pytest.mark.parametrize("n, N", [(2, 10), (3, 12)])
-    @pytest.mark.parametrize("last", [False, True])
-    def test_head_not_divisible_raises(self, monkeypatch, n, N, last):
-        # x0^k added to x0^k V P_k, at k = 0 or 2^n - 2: no multiple of V
-        k = 2**n - 2 if last else 0
+    # own quotient, symmetric in x1 alone, and there is nothing to certify.
+    # The closed form divides its zero tail by V as well, up to k = N.
+    @pytest.mark.parametrize(
+        "route, n, N, k",
+        [
+            pytest.param(partial(p_numerator.__wrapped__, n), n, N, 2**n - 2 if last else 0, id=f"{last}-{n}-{N}")
+            for last in (False, True)
+            for n, N in [(2, 10), (3, 12)]
+        ]
+        + [pytest.param(p3_closed_form, 3, 12, k, id=f"closed-form-{k}") for k in (0, 6, 12)],
+    )
+    def test_head_not_divisible_raises(self, monkeypatch, route, n, N, k):
+        # x0^k added to coefficient k of V times the numerator: no multiple of V
         real = series._factor_loop
 
         def with_constant(coeffs, subsets, nv, width):
@@ -192,7 +212,7 @@ class TestPNumerator:
 
         monkeypatch.setattr(series, "_factor_loop", with_constant)
         with pytest.raises(NotDivisible, match=rf"^coefficient of v\^{k} "):
-            p_numerator.__wrapped__(n, N)
+            route(N)
 
     @pytest.mark.parametrize("n, N", [(2, 10), (3, 12)])
     @pytest.mark.parametrize("last", [False, True])
@@ -237,7 +257,7 @@ class TestClosedForm:
         def unreachable(*args):
             raise AssertionError("spherical sums computed for a refused order")
 
-        monkeypatch.setattr(series, "_hl_sums", unreachable)
+        monkeypatch.setattr(series, "_alternant_sums", unreachable)
         with pytest.raises(EnumerationTooLarge):
             p3_closed_form(SERIES_ORDER_BOUND + 1)
         with pytest.raises(ValueError):
