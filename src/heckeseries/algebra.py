@@ -290,11 +290,11 @@ def _key(exps: tuple, width: int, pe: int = 0) -> int:
     return x + pe
 
 
-def _pack(a: "XPoly", width: int, offset: int = 0) -> dict:
-    """Packed terms of a, multiplied by the monomial whose key is offset."""
+def _pack(a: "XPoly", width: int) -> dict:
+    """Packed terms of a."""
     out = {}
     for e, c in a.terms.items():
-        x = _key(e, width, offset)
+        x = _key(e, width)
         for pe, f in c.terms.items():
             out[x + pe] = f
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from operator import add, sub
 
 from .algebra import (
@@ -38,9 +38,9 @@ from .errors import EnumerationTooLarge, IndexOutOfRange, UnsupportedRank
 from .symmetric import _orbit_sums, check_signature, elem
 
 #: hard bound on the number of candidate coset matrices per enumeration.
-#: Near it, `heckeseries omega --oracle` runs in under 0.4 s cold (2-vCPU Xeon,
-#: Python 3.11.7): 7,0,0 at the prime 3 (8.07 M candidates) 0.34-0.37 s, 4,0,0
-#: at 7 (6.87 M) 0.30-0.33 s, 10,0,0 at 2 (2.80 M) 0.36-0.40 s; 4,0,0 at 5 0.27 s
+#: Near it, `heckeseries omega --oracle` runs in under 0.2 s cold (2-vCPU Xeon,
+#: Python 3.11.7): 7,0,0 at the prime 3 (8.07 M candidates) 0.10-0.16 s, 4,0,0
+#: at 7 (6.87 M) 0.09-0.12 s, 10,0,0 at 2 (2.80 M) 0.11-0.12 s; 4,0,0 at 5 0.10-0.11 s
 COSET_CANDIDATE_BOUND = 10**7
 
 
@@ -85,7 +85,7 @@ def _deformed_product(n: int) -> XPoly:
     return acc
 
 
-def _multiplicity_norm(lam, n: int) -> PrimeLaurent:
+def _multiplicity_norm(lam) -> PrimeLaurent:
     """v_lambda(1/p) = prod over part-multiplicities m of prod_{j<=m} (1 + 1/p + ... + 1/p^(j-1))."""
     acc = PL_ONE
     for m in _multiplicity_class(lam):
@@ -166,7 +166,7 @@ def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[i
     Zeros may remain.
     """
     reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
-    norms = {cls: _multiplicity_norm(lam, n) for cls, lam in reps.items()}
+    norms = {cls: _multiplicity_norm(lam) for cls, lam in reps.items()}
     # the sums' p-exponents lie in pshift + [-pabs(D), 0], and dividing by a
     # norm needs room for its p-range besides
     _, dpabs = _bounds((_deformed_product(n),))
@@ -252,6 +252,12 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _valuation_classes(prime: int, e: int) -> list[tuple[int, int]]:
+    """The valuation classes of the residues mod prime^e as (representative,
+    size): 0 alone, then prime^k (k < e) with prime^(e-k) - prime^(e-k-1) members."""
+    return [(0, 1)] + [(prime**k, prime ** (e - k) - prime ** (e - k - 1)) for k in range(e)]
+
+
 @lru_cache(maxsize=None)
 def _coset_buckets(n: int, prime: int, delta: int):
     """Enumerate all HNF matrices of determinant prime^delta.
@@ -264,13 +270,14 @@ def _coset_buckets(n: int, prime: int, delta: int):
     0 <= b, c < p^d3.  The first elementary divisor has the valuation of
     the gcd of all entries and the first two that of the gcd of the 2 x 2
     minors, so the type depends only on v(a), v(b), v(c) and v(a*c - p^d2*b).
-    For a unit u, (b, c) -> (u*b, u*c) mod p^d3 permutes the candidates,
-    keeps v(b) and v(c), and multiplies the minor by u modulo
-    p^(min(v(a), d2) + d3); the type reads v(minor) only up to that.  So
-    per a only b = 0 and b = p^k (k < d3) are visited, each tally weighted
-    by the size of its b-class: p^(d3-k) - p^(d3-k-1), and 1 for b = 0.
-    Valuations are looked up in a table and tallied in a Counter, and
-    each distinct tally key is mapped to its type.
+    For a unit u, (b, c) -> (u*b, u*c) mod p^d3 permutes the candidates of
+    a, keeps v(b) and v(c), and multiplies the minor by u modulo
+    p^(min(v(a), d2) + d3); the type reads v(minor) only up to that.  For
+    u*a = a' + k*p^d2 with 0 <= a' < p^d2, (b, c) -> (u*b - k*c, c) mod p^d3
+    maps the candidates of a one to one onto those of a', keeps v(a), v(c)
+    and min(v(b), v(c)), and multiplies the minor by u modulo p^(d2 + d3),
+    past anything the type reads.  So one a and one b per valuation class
+    are visited, each row of c weighted by the sizes of both classes.
     """
     if n not in (1, 2, 3):
         raise IndexOutOfRange("coset enumeration wired for n <= 3")
@@ -290,34 +297,26 @@ def _coset_buckets(n: int, prime: int, delta: int):
         types: Counter = Counter()
         if n == 2:
             d1, d2 = d
-            for va, count in Counter(table[: prime**d2]).items():
-                v1 = min(d1, d2, va)
-                types[v1, delta - v1] += count
+            for a, weight in _valuation_classes(prime, d2):
+                v1 = min(d1, d2, table[a])
+                types[v1, delta - v1] += weight
         else:
             d1, d2, d3 = d
             q2, q3 = prime**d2, prime**d3
             minor_base = min(d1 + d2, d1 + d3, d2 + d3)
             row_c = table[:q3]
-            # class size by v(b); table[0] is delta
-            sizes = {delta: 1} | {k: q3 // prime**k - q3 // prime ** (k + 1) for k in range(d3)}
-            for a in range(q2):
-                # tally (v(b), v(c), v(a*c - p^d2*b)); each row of c runs in C
-                counts: Counter = Counter()
-                for b in [0] + [prime**k for k in range(d3)]:
-                    qb = q2 * b
-                    if a:
-                        minors = map(size.__rmod__, range(-qb, a * q3 - qb, a))
-                        row_m = map(table.__getitem__, minors)
-                    else:
-                        row_m = repeat(table[-qb % size], q3)
-                    counts.update(zip(repeat(table[b]), row_c, row_m))
+            for a, weight_a in _valuation_classes(prime, d2):
                 va = table[a]
                 v1a = min(d1, d2, d3, va)
                 m_a = min(minor_base, d3 + va)
-                for (vb, vc, vm), count in counts.items():
-                    v1 = min(v1a, vb, vc)
-                    v2 = min(m_a, d1 + vc, vm)
-                    types[v1, v2 - v1, delta - v2] += count * sizes[vb]
+                for b, weight_b in _valuation_classes(prime, d3):
+                    # tally (v(c), v(a*c - p^d2*b)) over the row of c
+                    qb = q2 * b
+                    row = Counter(zip(row_c, [table[(a * c - qb) % size] for c in range(q3)]))
+                    for (vc, vm), count in row.items():
+                        v1 = min(v1a, table[b], vc)
+                        v2 = min(m_a, d1 + vc, vm)
+                        types[v1, v2 - v1, delta - v2] += count * weight_a * weight_b
         for typ, count in types.items():
             buckets.setdefault(typ, {})[d] = count
     return buckets

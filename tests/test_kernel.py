@@ -250,7 +250,7 @@ def ref_omega_hl(lam, n):
         total = ref_add(total, img if _sgn(w) == 1 else ref_neg(img))
     quot = ref_div_exact(total, vdm)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    norm, prefactor = _multiplicity_norm(lam, n), PrimeLaurent.p_power(-weight)
+    norm, prefactor = _multiplicity_norm(lam), PrimeLaurent.p_power(-weight)
     return XPoly(
         nv,
         {

@@ -1,5 +1,6 @@
 """The package imports nothing outside itself and the standard library, no
-name it never reads, and neither dataclasses nor typing for the CLI."""
+name it never reads, no parameter it never reads, and neither dataclasses
+nor typing for the CLI."""
 
 import ast
 import os
@@ -55,6 +56,34 @@ def test_no_unused_imports():
     assert sources
     unused = {f"{path.name}: {name}" for path in sources for name in unused_imports(path)}
     assert not unused, sorted(unused)
+
+
+def unread_parameters(path):
+    """Parameters of the functions in one source file that their bodies never
+    read.  Dunder methods are left out: a protocol fixes their signatures.
+    A zero-argument ``super()`` reads the first parameter."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = set()
+        for sub in (sub for stmt in node.body for sub in ast.walk(stmt)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "super" and not sub.args:
+                read.update(arg.arg for arg in [*args.posonlyargs, *args.args][:1])
+        yield from (f"{node.name}: {arg.arg}" for arg in params if arg and arg.arg not in read)
+
+
+def test_no_unread_parameters():
+    sources = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert sources
+    unread = {f"{path.name}: {name}" for path in sources for name in unread_parameters(path)}
+    assert not unread, sorted(unread)
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "typing"])

@@ -1,7 +1,7 @@
 """Unit tests for the spherical maps and the coset-enumeration oracle."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from heckeseries.errors import (
 )
 from heckeseries.golden import golden_decomposition, golden_order
 from heckeseries.spherical import (
+    COSET_CANDIDATE_BOUND,
     _compositions,
     _coset_buckets,
     _valuation_table,
@@ -169,9 +170,17 @@ class TestCosetOracle:
         assert len(a.terms) == len(b.terms) == 1
 
     def test_matches_closed_form(self):
-        for lam in ((2, 1, 0), (2, 2, 1), (3, 1, 0)):
-            for q in (2, 3):
-                assert omega_hl(lam, 3).specialize_prime(q) == omega_cosets(lam, 3, q)
+        # every signature under the bound: parts <= 6 at 2 and 3, <= 4 at 5 and 7
+        cases = []
+        for q, hi in ((2, 6), (3, 6), (5, 4), (7, 4)):
+            for parts in combinations_with_replacement(range(hi + 1), 3):
+                lam = parts[::-1]
+                delta = sum(lam) - 3 * lam[-1]
+                if sum(q ** (d[1] + 2 * d[2]) for d in _compositions(delta, 3)) <= COSET_CANDIDATE_BOUND:
+                    cases.append((lam, q))
+        assert len(cases) == 206
+        for lam, q in cases:
+            assert omega_hl(lam, 3).specialize_prime(q) == omega_cosets(lam, 3, q), (lam, q)
 
     def test_enumeration_guard(self, monkeypatch):
         # the guard refuses before the valuation table is built
@@ -261,8 +270,10 @@ class TestCosetBuckets:
         strata = _oracle_strata()
         assert {(3, 2, 6), (3, 3, 6), (2, 5, 4), (1, 5, 0)} <= set(strata)
         strata += [(3, q, delta) for q in (5, 7) for delta in range(3)]
-        # several b-classes with more than one member each
-        strata += [(3, 2, 8), (3, 5, 3), (3, 7, 3)]
+        # several b-classes with more than one member each; in (3, 3, 5) a has
+        # up to six valuation classes, five with more than one member, and in
+        # (2, 3, 8) up to nine
+        strata += [(3, 2, 8), (3, 5, 3), (3, 7, 3), (3, 3, 5), (2, 3, 8)]
         for n, q, delta in strata:
             assert _coset_buckets.__wrapped__(n, q, delta) == ref_coset_buckets(n, q, delta), (n, q, delta)
 
