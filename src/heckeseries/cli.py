@@ -35,7 +35,7 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .verify import image_mismatch, run_all
+from .verify import check_results, image_mismatch, run_all
 
 #: largest prime accepted by --prime
 PRIME_BOUND = 10**6
@@ -314,7 +314,12 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             )
 
     elif args.command == "verify-all":
-        ok = run_all(report=lines.append)
+        if fmt == "json":
+            records = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in check_results()]
+            lines.append(json.dumps(records))
+            ok = all(r["ok"] for r in records)
+        else:
+            ok = run_all(report=lines.append)
 
     _emit("\n".join(lines), args.out)
     return 0 if ok else 1

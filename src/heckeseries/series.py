@@ -37,6 +37,7 @@ from .errors import (
 )
 from .spherical import (
     _alternant_sums,
+    _compositions,
     _hl_sums,
     _sort_sign,
     sp_image_pbracket,
@@ -287,12 +288,7 @@ def generator_monomials(x0_weight: int) -> list[tuple]:
     T(p) contributes x0-weight 1, the three quadratic generators weight 2.
     Ordered by degree then tuple.
     """
-    out = []
-    for m in range(x0_weight // 2 + 1):
-        a = x0_weight - 2 * m
-        for b in range(m + 1):
-            for c in range(m - b + 1):
-                out.append((a, b, c, m - b - c))
+    out = [(x0_weight - 2 * m,) + bcd for m in range(x0_weight // 2 + 1) for bcd in _compositions(m, 3)]
     out.sort(key=lambda g: (sum(g), g))
     return out
 

@@ -35,7 +35,7 @@ from .algebra import (
     _width,
 )
 from .errors import EnumerationTooLarge, IndexOutOfRange, UnsupportedRank
-from .symmetric import _orbit_sums, check_signature, elem
+from .symmetric import _orbit_sums, check_signature, elem, signatures
 
 #: hard bound on the number of candidate coset matrices per enumeration.
 #: Near it, `heckeseries omega --oracle` runs in under 0.2 s cold (2-vCPU Xeon,
@@ -109,17 +109,6 @@ def _sort_sign(beta: tuple) -> int:
     return -1 if sum(x < y for x, y in combinations(beta, 2)) & 1 else 1
 
 
-def _dominant(deg: int, n: int, hi: int):
-    """The weakly decreasing n-tuples of sum deg, parts at most hi, lex-decreasing."""
-    if n == 1:
-        if deg <= hi:
-            yield (deg,)
-        return
-    for first in range(min(deg, hi), -(-deg // n) - 1, -1):
-        for rest in _dominant(deg - first, n - 1, first):
-            yield (first,) + rest
-
-
 def _div_vandermonde(anti: dict, n: int) -> dict:
     """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric, given at
     its strictly decreasing exponents, and Q at its weakly decreasing ones,
@@ -128,26 +117,29 @@ def _div_vandermonde(anti: dict, n: int) -> dict:
     By V = sum_w sgn(w) x^w(delta), delta = (n-1, ..., 0), A at alpha + delta
     is the sum of sgn(w) Q_sort(alpha + delta - w(delta)), zero where an entry
     is negative.  delta - w(delta) is lex-positive for w != 1, so Q_alpha
-    follows from known ones when alpha runs lex-decreasing.  An antisymmetric
-    A is a multiple of V: the quotient is exact and nothing is checked.
+    follows from known ones when alpha runs lex-decreasing within its degree.
+    The alpha are those of ``symmetric.signatures``, which yields each degree
+    lex-decreasing, kept at the degrees A holds and sorted stably by degree.
+    An antisymmetric A is a multiple of V: the quotient is exact and nothing
+    is checked.
     """
     delta = tuple(range(n - 1, -1, -1))
     # (delta - w(delta), -sgn(w)) for w != 1
     shifts = [(tuple(map(sub, delta, w)), -_sort_sign(w)) for w in permutations(delta) if w != delta]
     hi = max((beta[0] for beta in anti), default=0) - (n - 1)
+    degs = {sum(beta) - sum(delta) for beta in anti}
     quot: dict[tuple, dict] = {}
-    for deg in sorted({sum(beta) for beta in anti}):
-        for alpha in _dominant(deg - sum(delta), n, hi):
-            q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
-            get = q.get
-            for shift, sign in shifts:
-                beta = sorted(map(add, alpha, shift), reverse=True)
-                if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
-                    for pe, c in known.items():
-                        q[pe] = get(pe, 0) + sign * c
-            q = {pe: c for pe, c in q.items() if c}
-            if q:
-                quot[alpha] = q
+    for alpha in sorted((a for a in signatures(hi, n) if sum(a) in degs), key=sum):
+        q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
+        get = q.get
+        for shift, sign in shifts:
+            beta = sorted(map(add, alpha, shift), reverse=True)
+            if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
+                for pe, c in known.items():
+                    q[pe] = get(pe, 0) + sign * c
+        q = {pe: c for pe, c in q.items() if c}
+        if q:
+            quot[alpha] = q
     return quot
 
 
@@ -322,35 +314,35 @@ def _coset_buckets(n: int, prime: int, delta: int):
     return buckets
 
 
+def _cosets(lam: tuple, n: int, prime: int) -> tuple[int, dict]:
+    """The common scalar part of lambda and {diagonal exponents: count} of the
+    HNF cosets of the rest.  The cosets of lambda are exactly the scalar
+    multiples of those, which keeps the enumeration within the candidate bound."""
+    lam = check_signature(lam, n)
+    base = lam[-1]
+    mu = tuple(part - base for part in lam)
+    return base, _coset_buckets(n, prime, sum(mu)).get(tuple(sorted(mu)), {})
+
+
 def omega_cosets(lam: tuple, n: int, prime: int) -> XPoly:
     """Coset-enumeration oracle for omega(t(p^lambda)) at a concrete prime.
 
     Sums prod_i (prime^-i * x_i)^(d_i) over all HNF left-coset
-    representatives whose elementary divisors have p-parts lambda.
-    A common scalar part of lambda is split off first (the corresponding
-    cosets are exactly the scalar multiples), which keeps the enumeration
-    within the candidate bound.
+    representatives whose elementary divisors have p-parts lambda: those
+    of lambda less its scalar part (``_cosets``), each diagonal shifted
+    back by it.
     """
-    lam = check_signature(lam, n)
-    nv = n + 1
-    base = lam[-1]
-    mu = tuple(part - base for part in lam)
-    delta = sum(mu)
-    target = tuple(sorted(mu))
-    buckets = _coset_buckets(n, prime, delta).get(target, {})
+    base, buckets = _cosets(lam, n, prime)
     terms = {}
     for d, count in buckets.items():
         full = tuple(di + base for di in d)
         terms[(0,) + full] = Fraction(count, prime ** sum((i + 1) * e for i, e in enumerate(full)))
-    return XPoly(nv, terms)
+    return XPoly(n + 1, terms)
 
 
 def coset_count(lam: tuple, n: int, prime: int) -> int:
     """Number of left cosets in t(p^lambda) at the given prime."""
-    lam = check_signature(lam, n)
-    mu = tuple(part - lam[-1] for part in lam)
-    buckets = _coset_buckets(n, prime, sum(mu)).get(tuple(sorted(mu)), {})
-    return sum(buckets.values())
+    return sum(_cosets(lam, n, prime)[1].values())
 
 
 # -- symplectic generator images -------------------------------------

@@ -316,13 +316,19 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(report=print) -> bool:
-    ok_all = True
+def check_results():
+    """(name, ok, detail) for each check of ALL_CHECKS, in order."""
     for name, fn in ALL_CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # a raised check is a failed check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
+        yield name, ok, detail
+
+
+def run_all(report=print) -> bool:
+    ok_all = True
+    for name, ok, detail in check_results():
         ok_all &= ok
         report(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok_all

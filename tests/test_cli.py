@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from heckeseries import cli
+from heckeseries import cli, verify
 from heckeseries.algebra import XPoly
 from heckeseries.cli import LAMBDA_PART_BOUND, OMEGA_OUTPUT_BOUND, _specialized_size, run
 from heckeseries.errors import NonVanishingTail
@@ -38,6 +38,10 @@ def invoke(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def raise_tail():
+    raise NonVanishingTail("coefficient of v^7 is nonzero")
 
 
 class TestOmegaCommand:
@@ -288,10 +292,7 @@ class TestPlumbing:
         assert captured.err.count("\n") == 1
 
     def test_internal_failure_is_verification_failure(self, capsys, monkeypatch):
-        def fail():
-            raise NonVanishingTail("coefficient of v^7 is nonzero")
-
-        monkeypatch.setattr(cli, "p3_in_generators", fail)
+        monkeypatch.setattr(cli, "p3_in_generators", raise_tail)
         code = run(["theorem1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -312,6 +313,27 @@ class TestPlumbing:
         code, out = invoke(capsys, argv)
         assert code == 1
         assert out.endswith(last_line + "\n")
+
+    @pytest.mark.parametrize(
+        "second, status, detail",
+        [
+            (lambda: (True, "also"), "PASS", "also"),
+            (raise_tail, "FAIL", "NonVanishingTail: coefficient of v^7 is nonzero"),
+        ],
+        ids=["pass", "raise"],
+    )
+    def test_verify_all_formats(self, second, status, detail, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("first", lambda: (True, "holds")), ("second", second)])
+        code = int(status == "FAIL")
+        assert invoke(capsys, ["verify-all"]) == (code, f"[PASS] first: holds\n[{status}] second: {detail}\n")
+        out_code, out = invoke(capsys, ["--format", "json", "verify-all"])
+        assert out_code == code
+        assert json.loads(out) == [
+            {"name": "first", "ok": True, "detail": "holds"},
+            {"name": "second", "ok": status == "PASS", "detail": detail},
+        ]
+        # latex keeps the text lines
+        assert invoke(capsys, ["--format", "latex", "verify-all"]) == invoke(capsys, ["verify-all"])
 
     def test_python_m_runs_the_cli(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["heckeseries", "--help"])

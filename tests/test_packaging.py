@@ -1,11 +1,12 @@
 """The package imports nothing outside itself and the standard library, no
-name it never reads, no parameter it never reads, and neither dataclasses
-nor typing for the CLI."""
+name it never reads, no parameter it never reads, no private definition it
+never reads, and neither dataclasses nor typing for the CLI."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,35 @@ def test_cli_import_leaves_out_dataclasses(module):
     code = f"import sys, heckeseries.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def unread_private_definitions(paths):
+    """Non-dunder ``_``-prefixed functions, methods and classes defined in the
+    given source files that no source file reads, as a Name or an Attribute,
+    outside the definition itself: a recursive call does not count."""
+    trees = [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
+
+    def reads(node):
+        return Counter(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+        )
+
+    total = sum((reads(tree) for _, tree in trees), Counter())
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if total[name] == reads(node)[name]:
+                yield f"{path.name}: {name}"
+
+
+def test_no_unread_private_definitions():
+    sources = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert sources
+    unread = set(unread_private_definitions(sources))
+    assert not unread, sorted(unread)

@@ -169,6 +169,20 @@ class TestCosetOracle:
         b = omega_cosets((1, 1, 1), 3, 2)
         assert len(a.terms) == len(b.terms) == 1
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize(
+        "lam", [(0,), (3,), (0, 0), (2, 0), (3, 1), (0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 3, 1)]
+    )
+    def test_scalar_part_splits_off(self, lam, c, q):
+        # t(p^(lambda + c)) is t(p^lambda) times the scalar p^c: the same count,
+        # each diagonal shifted by c
+        n = len(lam)
+        shifted = tuple(part + c for part in lam)
+        assert coset_count(shifted, n, q) == coset_count(lam, n, q)
+        scalar = XPoly.monomial(n + 1, (0,) + (c,) * n, Fraction(1, q ** (c * n * (n + 1) // 2)))
+        assert omega_cosets(shifted, n, q) == omega_cosets(lam, n, q) * scalar
+
     def test_matches_closed_form(self):
         # every signature under the bound: parts <= 6 at 2 and 3, <= 4 at 5 and 7
         cases = []
