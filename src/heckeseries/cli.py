@@ -6,8 +6,8 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import product
-from math import isqrt, log10
+from itertools import permutations
+from math import log10
 
 from .algebra import VSeries, XPoly
 from .errors import EnumerationTooLarge, HeckeError
@@ -29,12 +29,14 @@ from .series import (
     specialize_nu,
 )
 from .spherical import (
+    _is_prime,
     omega_cosets,
     omega_hl,
     sp_image_pbracket,
     sp_image_Ti,
     sp_image_Tp,
 )
+from .symmetric import signatures_of_degree
 from .verify import check_results, image_mismatch, run_all
 
 #: largest prime accepted by --prime
@@ -42,9 +44,9 @@ PRIME_BOUND = 10**6
 #: largest part accepted by --lambda; it covers every signature the series
 #: use up to SERIES_ORDER_BOUND.  At this bound one omega, computed and
 #: rendered, takes under 0.5 s and up to 1 MB of JSON without --prime
-#: (`omega --lambda 120,60,0`: 0.23-0.41 s, 960 325 bytes; 2-vCPU Xeon); at
-#: 200,100,0 the value takes 0.1 s and its 2.7 MB of JSON 0.3 s more.  With
-#: --prime, OMEGA_OUTPUT_BOUND applies
+#: (`--format json omega --lambda 120,60,0`: 0.17-0.28 s cold, 960 325 bytes;
+#: 2-vCPU Xeon); at 200,100,0 the value takes 0.07 s and its 2.7 MB of JSON
+#: 0.2 s more.  With --prime, OMEGA_OUTPUT_BOUND applies
 LAMBDA_PART_BOUND = 120
 #: largest output, in bytes, of omega --prime (with or without --oracle), as
 #: overestimated by _specialized_size before anything is computed, and of series
@@ -86,7 +88,7 @@ def _parse_prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"bad prime {text!r}; expected an integer")
     if not 2 <= prime <= PRIME_BOUND:
         raise argparse.ArgumentTypeError(f"prime must be between 2 and {PRIME_BOUND}")
-    if any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+    if not _is_prime(prime):
         raise argparse.ArgumentTypeError(f"{prime} is not prime")
     return prime
 
@@ -111,14 +113,12 @@ def _specialized_size(lam: tuple, prime: int, fmt: str) -> tuple[int, int]:
 
     lo, hi, total = lam[-1], lam[0], sum(lam)
     longest, size = 1, 64
-    for head in product(range(lo, hi + 1), repeat=len(lam) - 1):
-        e = head + (total - sum(head),)
-        desc = tuple(sorted(e, reverse=True))
-        if not lo <= e[-1] <= hi or (fmt != "json" and e != desc):
-            continue
-        den = sum(i * part for i, part in enumerate(desc, start=1))
-        longest = max(longest, digits(den))
-        size += digits(den - total) + digits(den) + 64
+    for desc in signatures_of_degree(total, hi, len(lam)):
+        if desc[-1] >= lo:
+            den = sum(i * part for i, part in enumerate(desc, start=1))
+            longest = max(longest, digits(den))
+            terms = len(set(permutations(desc))) if fmt == "json" else 1
+            size += terms * (digits(den - total) + digits(den) + 64)
     return longest, size
 
 

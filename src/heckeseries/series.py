@@ -11,7 +11,7 @@ T(p)^a T_1(p^2)^b T_2(p^2)^c [p]_3^d.  The spherical map on it,
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .algebra import (
     PL_ZERO,
@@ -38,8 +38,8 @@ from .errors import (
 from .spherical import (
     _alternant_sums,
     _compositions,
-    _hl_sums,
-    _sort_sign,
+    _div_vandermonde,
+    _vandermonde_terms,
     sp_image_pbracket,
     sp_image_Ti,
     sp_image_Tp,
@@ -53,6 +53,10 @@ DEFAULT_ORDER = 12
 #: call it, 0.13-0.22 s with its tail check, and p3_closed_form(N) 0.026-0.043 s
 #: (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
+#: hard bound on the x0-weight of express_in_generators; its generator basis,
+#: built once per weight, takes 0.36-0.38 s cold at this weight (56 images),
+#: 0.50-0.51 s at 11 and 1.07-1.11 s at 12 (84 images) (2-vCPU Xeon)
+GENERATOR_WEIGHT_BOUND = 10
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
 
@@ -120,12 +124,12 @@ def hecke_image(e: HeckeExpr) -> XPoly:
 # -- series ----------------------------------------------------------
 
 
-def _check_order(N: int) -> None:
-    """Refuse a negative series order or one past SERIES_ORDER_BOUND."""
-    if N < 0:
-        raise ValueError(f"series order must be >= 0, got {N}")
-    if N > SERIES_ORDER_BOUND:
-        raise EnumerationTooLarge(f"series order {N} exceeds the bound {SERIES_ORDER_BOUND}")
+def _check_size(what: str, value: int, bound: int) -> None:
+    """Refuse a negative size or one past its bound, before anything is computed."""
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    if value > bound:
+        raise EnumerationTooLarge(f"{what} {value} exceeds the bound {bound}")
 
 
 @lru_cache(maxsize=None)
@@ -142,21 +146,21 @@ def r_series(n: int, N: int) -> VSeries:
                   signatures lambda with top part m of
                   Antisym(x^lambda * D) / V / v_lambda(1/p),
 
-    and each top part costs one exact division by the norm per
-    multiplicity class and one step by V, on orbit representatives
-    (``spherical._hl_sums``).  The running sum over m stays in that form,
-    and each v^delta coefficient's orbits are written out once.
+    and each top part costs one exact division by the norm per multiplicity
+    class (``spherical._alternant_sums``) and one step by V
+    (``spherical._div_vandermonde``), on orbit representatives.  The running
+    sum over m stays in that form; each v^delta's orbits are written out once.
     """
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
-    _check_order(N)
+    _check_size("series order", N, SERIES_ORDER_BOUND)
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
-    width, sums = _hl_sums(by_top, n, N)
+    width, sums = _alternant_sums(by_top, n, N)
     coeffs = []
     acc: dict = {}
-    for delta, packed in enumerate(sums):
+    for delta, anti in enumerate(sums):
         # v^delta collects every signature with top part m <= delta
-        _add_into(acc, packed)
+        _add_into(acc, _div_vandermonde(anti, n, width))
         x0 = _key((delta,) + (0,) * n, width)
         coeffs.append(_orbit_sums(_unpack({k + x0: c for k, c in acc.items()}, n + 1, width)))
     return VSeries(N, coeffs)
@@ -199,15 +203,12 @@ def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
     subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
     # x1 lies in as many of the factors as any x_i, each raising its degree by one
     width, sums = _alternant_sums(groups, n, len(groups) - 1 + sum(1 in s for s in subsets))
-    # each permutation w of the positions, with the sign of the sort of a
-    # strictly decreasing exponent permuted by w
-    perms = [(w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n))]
     coeffs = []
     for m, anti in enumerate(sums):
-        # x0^m A_m, each orbit written out with its signs
+        # x0^m A_m, each orbit written out with its signs: V's, e in place of delta
         out = {}
         for e, c in _unpack(anti, n, width).terms.items():
-            for w, sign in perms:
+            for w, sign in _vandermonde_terms(n):
                 x = _key((m, *(e[i] for i in w)), width)
                 for pe, f in c.terms.items():
                     out[x + pe] = sign * f
@@ -218,7 +219,7 @@ def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
 
 def _div_v(packed: dict, k: int, n: int, width: int) -> XPoly:
     """The packed coefficient of v^k divided by V, the Vandermonde in x1..xn, certified exact."""
-    vdm = {_key((0, *w), width): _sort_sign(w) for w in permutations(range(n - 1, -1, -1))}
+    vdm = {_key((0, *(n - 1 - i for i in w)), width): sign for w, sign in _vandermonde_terms(n)}
     try:
         quot = _div_packed(packed, vdm, n + 1, width)
     except NotDivisible as exc:
@@ -246,7 +247,7 @@ def p_numerator(n: int, N: int) -> VSeries:
         raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
-    _check_order(N)
+    _check_size("series order", N, SERIES_ORDER_BOUND)
     top = 2**n - 2
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
     width, coeffs = _v_times_numerator(by_top, n, range(1, n + 1))
@@ -273,7 +274,7 @@ def p3_closed_form(N: int) -> VSeries:
     group (b, a, 0), a <= b.  As in ``p_numerator``, each of v^0 .. v^N of
     V times the product is divided whole by V, which certifies it.
     """
-    _check_order(N)
+    _check_size("series order", N, SERIES_ORDER_BOUND)
     groups = [[(b, a, 0) for a in range(b + 1)] for b in range(N + 1)]
     width, coeffs = _v_times_numerator(groups, 3, (1, 2))
     return VSeries(N, [_div_v(c, k, 3, width) for k, c in enumerate(coeffs)])
@@ -351,8 +352,10 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
     triangular because the leads are unimodular: the generator images'
     (x0-weight, leading signature) vectors have determinant 1 and unit
     leading coefficients.  The solution is certified Laurent in p and
-    verified by substitution.
+    verified by substitution.  The x0-weight must lie in
+    0..GENERATOR_WEIGHT_BOUND.
     """
+    _check_size("x0-weight", x0_wt, GENERATOR_WEIGHT_BOUND)
     if target.terms and x0_weight(target) != x0_wt:
         raise NotSymmetric(f"target is not x0-homogeneous of weight {x0_wt}")
     monomials, decomps = _generator_basis(x0_wt)

@@ -21,6 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import isqrt
 from operator import add, sub
 
 from .algebra import (
@@ -35,7 +36,7 @@ from .algebra import (
     _width,
 )
 from .errors import EnumerationTooLarge, IndexOutOfRange, UnsupportedRank
-from .symmetric import _orbit_sums, check_signature, elem, signatures
+from .symmetric import _orbit_sums, check_signature, elem, signatures_of_degree
 
 #: hard bound on the number of candidate coset matrices per enumeration.
 #: Near it, `heckeseries omega --oracle` runs in under 0.2 s cold (2-vCPU Xeon,
@@ -109,38 +110,45 @@ def _sort_sign(beta: tuple) -> int:
     return -1 if sum(x < y for x, y in combinations(beta, 2)) & 1 else 1
 
 
-def _div_vandermonde(anti: dict, n: int) -> dict:
-    """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric, given at
-    its strictly decreasing exponents, and Q at its weakly decreasing ones,
-    each as {exponent: {p-exponent: coefficient}}.
+@lru_cache(maxsize=None)
+def _vandermonde_terms(n: int) -> tuple:
+    """V = sum_w sgn(w) x^(delta_w1, ..., delta_wn), delta = (n-1, ..., 0), as the
+    pairs (w, sgn(w)): w over the permutations of 0..n-1, the identity first."""
+    return tuple((w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n)))
+
+
+def _div_vandermonde(anti: dict, n: int, width: int) -> dict:
+    """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric and
+    packed in x1..xn at its strictly decreasing exponents (``_alternant_sums``),
+    Q packed in x0..xn at its weakly decreasing exponents, x0 to the power 0.
 
     By V = sum_w sgn(w) x^w(delta), delta = (n-1, ..., 0), A at alpha + delta
     is the sum of sgn(w) Q_sort(alpha + delta - w(delta)), zero where an entry
-    is negative.  delta - w(delta) is lex-positive for w != 1, so Q_alpha
-    follows from known ones when alpha runs lex-decreasing within its degree.
-    The alpha are those of ``symmetric.signatures``, which yields each degree
-    lex-decreasing, kept at the degrees A holds and sorted stably by degree.
-    An antisymmetric A is a multiple of V: the quotient is exact and nothing
-    is checked.
+    is negative.  delta - w(delta) = (w_i - i) has degree 0 and is
+    lex-positive for w != 1, so Q_alpha follows from known ones when alpha
+    runs lex-decreasing within its degree (``signatures_of_degree``, at the
+    degrees A holds only).  An antisymmetric A is a multiple of V: the
+    quotient is exact and nothing is checked.
     """
+    anti = {beta: c.terms for beta, c in _unpack(anti, n, width).terms.items()}
     delta = tuple(range(n - 1, -1, -1))
     # (delta - w(delta), -sgn(w)) for w != 1
-    shifts = [(tuple(map(sub, delta, w)), -_sort_sign(w)) for w in permutations(delta) if w != delta]
+    shifts = [(tuple(map(sub, w, range(n))), -sign) for w, sign in _vandermonde_terms(n)[1:]]
     hi = max((beta[0] for beta in anti), default=0) - (n - 1)
-    degs = {sum(beta) - sum(delta) for beta in anti}
     quot: dict[tuple, dict] = {}
-    for alpha in sorted((a for a in signatures(hi, n) if sum(a) in degs), key=sum):
-        q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
-        get = q.get
-        for shift, sign in shifts:
-            beta = sorted(map(add, alpha, shift), reverse=True)
-            if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
-                for pe, c in known.items():
-                    q[pe] = get(pe, 0) + sign * c
-        q = {pe: c for pe, c in q.items() if c}
-        if q:
-            quot[alpha] = q
-    return quot
+    for degree in sorted({sum(beta) - sum(delta) for beta in anti}):
+        for alpha in signatures_of_degree(degree, hi, n):
+            q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
+            get = q.get
+            for shift, sign in shifts:
+                beta = sorted(map(add, alpha, shift), reverse=True)
+                if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
+                    for pe, c in known.items():
+                        q[pe] = get(pe, 0) + sign * c
+            q = {pe: c for pe, c in q.items() if c}
+            if q:
+                quot[alpha] = q
+    return {_key((0,) + alpha, width, pe): c for alpha, q in quot.items() for pe, c in q.items()}
 
 
 def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
@@ -182,33 +190,21 @@ def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[i
     return width, out
 
 
-def _hl_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
-    """The field width and, for each group of signatures, the packed sum over
-    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) / V at its
-    weakly decreasing exponents (V the Vandermonde): ``_alternant_sums``,
-    then one step by V per group.
-    """
-    width, sums = _alternant_sums(groups, n, xdeg, pshift)
-    out = []
-    for anti in sums:
-        quot = _div_vandermonde({b: c.terms for b, c in _unpack(anti, n, width).terms.items()}, n)
-        out.append({_key((0,) + alpha, width, pe): c for alpha, q in quot.items() for pe, c in q.items()})
-    return width, out
-
-
 @lru_cache(maxsize=None)
 def omega_hl(lam: tuple, n: int) -> XPoly:
     """omega(t(p^lambda)) in closed form: symmetric XPoly in x1..xn over Laurent-in-p.
 
     Computed as p^(-sum i*lambda_i) / v_lambda(1/p) times the signed
     S_n-symmetrization of x^lambda * prod_{i<j}(x_i - x_j/p), divided
-    exactly by the Vandermonde: ``_hl_sums`` of the one signature at the
-    dominant exponents, each orbit then written out once.
+    exactly by the Vandermonde: ``_alternant_sums`` of the one signature and
+    the step by V (``_div_vandermonde``), each orbit then written out once.
     """
+    if n < 1:
+        raise IndexOutOfRange("need n >= 1")
     lam = check_signature(lam, n)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    width, (packed,) = _hl_sums([[lam]], n, max(lam, default=0), -weight)
-    return _orbit_sums(_unpack(packed, n + 1, width))
+    width, (anti,) = _alternant_sums([[lam]], n, lam[0], -weight)
+    return _orbit_sums(_unpack(_div_vandermonde(anti, n, width), n + 1, width))
 
 
 def omega_pi(i: int, n: int) -> XPoly:
@@ -235,13 +231,10 @@ def _valuation_table(prime: int, delta: int) -> bytearray:
     return table
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> list:
+    """Every tuple of parts non-negative integers with sum total, ascending:
+    the orderings of the signatures of that degree."""
+    return sorted({w for sig in signatures_of_degree(total, total, parts) for w in permutations(sig)})
 
 
 def _valuation_classes(prime: int, e: int) -> list[tuple[int, int]]:
@@ -314,11 +307,19 @@ def _coset_buckets(n: int, prime: int, delta: int):
     return buckets
 
 
+def _is_prime(q: int) -> bool:
+    """Whether q is a prime, by trial division up to its square root."""
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
 def _cosets(lam: tuple, n: int, prime: int) -> tuple[int, dict]:
     """The common scalar part of lambda and {diagonal exponents: count} of the
     HNF cosets of the rest.  The cosets of lambda are exactly the scalar
-    multiples of those, which keeps the enumeration within the candidate bound."""
+    multiples of those, which keeps the enumeration within the candidate bound.
+    A prime that is not one is refused before any table is built."""
     lam = check_signature(lam, n)
+    if not _is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
     base = lam[-1]
     mu = tuple(part - base for part in lam)
     return base, _coset_buckets(n, prime, sum(mu)).get(tuple(sorted(mu)), {})

@@ -8,7 +8,7 @@ A signature is a non-increasing tuple of non-negative integers of length n.
 from __future__ import annotations
 
 import operator
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 from .algebra import PrimeLaurent, XPoly
 from .errors import IndexOutOfRange, LengthMismatch, NotSymmetric
@@ -27,9 +27,21 @@ def check_signature(sig, n: int) -> Signature:
     return sig
 
 
+def signatures_of_degree(degree: int, max_part: int, n: int):
+    """Every signature of length n, parts at most max_part, of sum degree, lex-decreasing."""
+    if n < 2:  # at most one part: (degree,), or () at degree 0
+        if 0 <= degree <= n * max_part:
+            yield (degree,) * n
+        return
+    # the first part is the largest: at least degree / n, rounded up
+    for first in range(min(degree, max_part), -(-degree // n) - 1, -1):
+        for rest in signatures_of_degree(degree - first, first, n - 1):
+            yield (first,) + rest
+
+
 def signatures(max_part: int, n: int):
-    """Every signature of length n with parts at most max_part, each once."""
-    return combinations_with_replacement(range(max_part, -1, -1), n)
+    """Every signature of length n with parts at most max_part, each once, by degree."""
+    return (sig for degree in range(n * max_part + 1) for sig in signatures_of_degree(degree, max_part, n))
 
 
 def msym(sig, n: int) -> XPoly:

@@ -21,7 +21,7 @@ the lead's orbit in a remainder.  ``ref_omega_hl`` antisymmetrizes over every
 permutation and divides the whole antisymmetric sum by the Vandermonde, as
 ``omega_hl`` did before it worked on orbit representatives; the packed heap
 division by the Vandermonde it then used is ``XPoly.div_exact``, the
-reference of ``_div_vandermonde``.
+reference of the step by V, ``_div_vandermonde``.
 They live only here, as the oracle the kernel must agree with.
 """
 
@@ -32,7 +32,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, _pack, _unpack, _width, p
+from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, _key, _pack, _unpack, _width, p
 from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
@@ -48,8 +48,8 @@ from heckeseries.series import (
     r_series,
 )
 from heckeseries.spherical import (
+    _alternant_sums,
     _div_vandermonde,
-    _hl_sums,
     _multiplicity_norm,
     omega_hl,
     sp_image_pbracket,
@@ -707,14 +707,19 @@ def test_omega_hl_matches_reference_on_every_small_signature(n, lam):
 @pytest.mark.parametrize("pshift", [-5, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hl_sums_of_a_group_is_the_sum_over_its_signatures(n, pshift):
+    # the Hall-Littlewood sums: the alternant sums, then one step by V each
+    def hl_sums(groups):
+        width, sums = _alternant_sums(groups, n, 4, pshift)
+        return width, [_div_vandermonde(anti, n, width) for anti in sums]
+
     sigs = list(signatures(4, n))
     groups = [sigs[::2], sigs[1::2], [lam for lam in sigs if lam[0] == 3], []]
-    width, sums = _hl_sums(groups, n, 4, pshift)
+    width, sums = hl_sums(groups)
     assert len(sums) == len(groups)
     for group, packed in zip(groups, sums):
         expected = XPoly(n + 1)
         for lam in group:
-            one_width, (one,) = _hl_sums([[lam]], n, 4, pshift)
+            one_width, (one,) = hl_sums([[lam]])
             one = _unpack(one, n + 1, one_width)
             weight = sum((i + 1) * part for i, part in enumerate(lam))
             assert _orbit_sums(one) == omega_hl(lam, n) * PrimeLaurent.p_power(pshift + weight)
@@ -722,6 +727,20 @@ def test_hl_sums_of_a_group_is_the_sum_over_its_signatures(n, pshift):
         got = _unpack(packed, n + 1, width)
         assert got == expected
         assert all(list(e[1:]) == sorted(e[1:], reverse=True) for e in got.terms)
+
+
+def written_out_over_v(reps, n):
+    """The antisymmetric polynomial with the terms reps, {strictly decreasing
+    exponent: Laurent coefficient}, written out in full and divided by the
+    Vandermonde with the packed heap division."""
+    nv = n + 1
+    full, vdm = {}, XPoly.constant(nv, 1)
+    for beta, c in reps.items():
+        for w in permutations(range(n)):
+            full[(0,) + tuple(beta[i] for i in w)] = c if _sgn(w) == 1 else -c
+    for i, j in combinations(range(1, nv), 2):
+        vdm = vdm * (XPoly.variable(nv, i) - XPoly.variable(nv, j))
+    return XPoly(nv, full).div_exact(vdm)
 
 
 def antisymmetric_reps():
@@ -741,18 +760,20 @@ def antisymmetric_reps():
 @example((3, {(5, 3, 0): PrimeLaurent({-2: Fraction(1, 2)}), (4, 2, 1): PrimeLaurent({1: -3, 0: 1})}))
 def test_div_vandermonde_matches_packed_division(case):
     n, reps = case
-    nv = n + 1
-    full, vdm = {}, XPoly.constant(nv, 1)
-    for beta, c in reps.items():
-        for w in permutations(range(n)):
-            full[(0,) + tuple(beta[i] for i in w)] = c if _sgn(w) == 1 else -c
-    for i, j in combinations(range(1, nv), 2):
-        vdm = vdm * (XPoly.variable(nv, i) - XPoly.variable(nv, j))
-    expected = XPoly(nv, full).div_exact(vdm)
-    quot = _div_vandermonde({beta: c.terms for beta, c in reps.items()}, n)
-    assert all(list(a) == sorted(a, reverse=True) for a in quot)
-    got = _orbit_sums(XPoly(nv, {(0,) + a: PrimeLaurent(q) for a, q in quot.items()}))
-    assert got == expected
+    width = _width(5, max((abs(pe) for c in reps.values() for pe in c.terms), default=0))
+    anti = {_key(beta, width, pe): f for beta, c in reps.items() for pe, f in c.terms.items()}
+    quot = _unpack(_div_vandermonde(anti, n, width), n + 1, width)
+    assert all(e[0] == 0 and list(e[1:]) == sorted(e[1:], reverse=True) for e in quot.terms)
+    assert _orbit_sums(quot) == written_out_over_v(reps, n)
+
+
+@pytest.mark.parametrize("lam", [(120, 60, 0), (120, 0, 0), (120, 120, 0)])
+def test_omega_hl_at_the_part_bound_is_the_alternant_sum_over_v(lam):
+    # ref_omega_hl takes seconds at these parts; the alternant sum written
+    # out and divided by V with the heap division takes a tenth of one
+    weight = sum((i + 1) * part for i, part in enumerate(lam))
+    width, (anti,) = _alternant_sums([[lam]], 3, lam[0], -weight)
+    assert omega_hl(lam, 3) == written_out_over_v(_unpack(anti, 3, width).terms, 3)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from heckeseries.errors import (
 )
 from heckeseries.series import (
     DEFAULT_ORDER,
+    GENERATOR_WEIGHT_BOUND,
     SERIES_ORDER_BOUND,
     HeckeExpr,
     P_BRACKET,
@@ -348,6 +349,22 @@ class TestExpressInGenerators:
         target = q_poly(3).coeffs[2] + XPoly.monomial(4, (2, 3, 0, 0))
         with pytest.raises(NotSymmetric):
             express_in_generators(target, 2)
+
+    def test_weight_at_the_bound_solves(self):
+        expr = HeckeExpr({(2, 1, 0, 3): p**2 - 1, (0, 0, 1, 4): 3})
+        assert GENERATOR_WEIGHT_BOUND == 10
+        assert express_in_generators(hecke_image(expr), GENERATOR_WEIGHT_BOUND) == expr
+
+    @pytest.mark.parametrize(
+        "weight, error", [(-1, ValueError), (GENERATOR_WEIGHT_BOUND + 1, EnumerationTooLarge), (40, EnumerationTooLarge)]
+    )
+    def test_weight_out_of_range_refused_before_the_basis(self, weight, error, monkeypatch):
+        def refuse(x0_wt):
+            raise AssertionError(f"generator basis built for weight {x0_wt}")
+
+        monkeypatch.setattr(series, "_generator_basis", refuse)
+        with pytest.raises(error, match="x0-weight"):
+            express_in_generators(XPoly(4), weight)
 
     def test_cached_basis_matches_fresh_recomputation(self):
         for target, w in theorem_systems():

@@ -28,7 +28,7 @@ from heckeseries.spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from heckeseries.symmetric import msym, to_msym
+from heckeseries.symmetric import msym, signatures_of_degree, to_msym
 
 
 class TestPhi:
@@ -131,6 +131,25 @@ class TestOmegaClosedForm:
             3, (0, 1, 1), PrimeLaurent.p_power(-3)
         )
 
+    def test_rank_zero_refused(self):
+        with pytest.raises(IndexOutOfRange, match="n >= 1"):
+            omega_hl((), 0)
+
+    def test_step_by_v_reads_only_the_degree_it_holds(self, monkeypatch):
+        # (120, 60, 0) holds the one degree 180: 1 861 signatures with parts
+        # <= 120 have it, of the 302 621 with any degree
+        read = []
+
+        def counted(degree, max_part, n):
+            for sig in signatures_of_degree(degree, max_part, n):
+                read.append(sig)
+                yield sig
+
+        monkeypatch.setattr(spherical, "signatures_of_degree", counted)
+        omega_hl.__wrapped__((120, 60, 0), 3)
+        assert len(read) == len(set(read)) == 1861
+        assert {sum(sig) for sig in read} == {180}
+
 
 class TestOmegaPi:
     def test_values(self):
@@ -204,6 +223,16 @@ class TestCosetOracle:
         monkeypatch.setattr(spherical, "_valuation_table", refuse)
         with pytest.raises(EnumerationTooLarge):
             omega_cosets((9, 0, 0), 3, 5)
+
+    @pytest.mark.parametrize("prime", [-2, 0, 1, 4, 9])
+    def test_non_prime_refused_before_any_table(self, prime, monkeypatch):
+        def refuse(prime, delta):
+            raise AssertionError(f"valuation table built for prime^{delta}")
+
+        monkeypatch.setattr(spherical, "_valuation_table", refuse)
+        for oracle in (omega_cosets, coset_count):
+            with pytest.raises(ValueError, match=f"^{prime} is not prime$"):
+                oracle((1, 0, 0), 3, prime)
 
     def test_rank_four_is_not_wired(self):
         with pytest.raises(IndexOutOfRange):

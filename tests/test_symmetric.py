@@ -11,6 +11,8 @@ from heckeseries.symmetric import (
     elem,
     from_msym,
     msym,
+    signatures,
+    signatures_of_degree,
     to_msym,
     x0_weight,
 )
@@ -54,6 +56,21 @@ class TestMsym:
             for m in mult.values():
                 stab *= factorial(m)
             assert len(msym(sig, 3).terms) == factorial(3) // stab
+
+
+class TestSignatures:
+    def test_every_signature_once_by_degree(self):
+        for n in range(4):
+            for hi in range(6):
+                got = list(signatures(hi, n))
+                assert len(got) == len(set(got))
+                assert got == sorted(all_signatures(hi, n), key=lambda sig: (sum(sig), [-part for part in sig]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_of_degree_are_those_of_signatures(self, n):
+        for hi in range(6):
+            for d in range(n * hi + 2):
+                assert list(signatures_of_degree(d, hi, n)) == [a for a in signatures(hi, n) if sum(a) == d]
 
 
 class TestElem:
