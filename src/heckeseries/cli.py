@@ -29,6 +29,7 @@ from .series import (
     specialize_nu,
 )
 from .spherical import (
+    PRIME_BOUND,
     _is_prime,
     omega_cosets,
     omega_hl,
@@ -39,8 +40,6 @@ from .spherical import (
 from .symmetric import signatures_of_degree
 from .verify import check_results, image_mismatch, run_all
 
-#: largest prime accepted by --prime
-PRIME_BOUND = 10**6
 #: largest part accepted by --lambda; it covers every signature the series
 #: use up to SERIES_ORDER_BOUND.  At this bound one omega, computed and
 #: rendered, takes under 0.5 s and up to 1 MB of JSON without --prime

@@ -18,7 +18,7 @@ from .algebra import (
     PrimeLaurent,
     VSeries,
     XPoly,
-    _add_into,
+    _bounds,
     _div_packed,
     _key,
     _laurent,
@@ -34,6 +34,7 @@ from .errors import (
     NotDivisible,
     NotLaurent,
     NotSymmetric,
+    VarMismatch,
 )
 from .spherical import (
     _alternant_sums,
@@ -149,20 +150,20 @@ def r_series(n: int, N: int) -> VSeries:
     and each top part costs one exact division by the norm per multiplicity
     class (``spherical._alternant_sums``) and one step by V
     (``spherical._div_vandermonde``), on orbit representatives.  The running
-    sum over m stays in that form; each v^delta's orbits are written out once.
+    sum over m adds them per representative; v^delta's orbits are written once.
     """
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
     _check_size("series order", N, SERIES_ORDER_BOUND)
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
-    width, sums = _alternant_sums(by_top, n, N)
     coeffs = []
-    acc: dict = {}
-    for delta, anti in enumerate(sums):
+    acc: dict[tuple, PrimeLaurent] = {}
+    for delta, anti in enumerate(_alternant_sums(by_top, n)):
         # v^delta collects every signature with top part m <= delta
-        _add_into(acc, _div_vandermonde(anti, n, width))
-        x0 = _key((delta,) + (0,) * n, width)
-        coeffs.append(_orbit_sums(_unpack({k + x0: c for k, c in acc.items()}, n + 1, width)))
+        quot = _div_vandermonde(anti, n)
+        for e, c in quot.terms.items():
+            acc[e] = acc[e] + c if e in acc else c
+        coeffs.append(_orbit_sums(quot._raw({(delta,) + e[1:]: c for e, c in acc.items() if c})))
     return VSeries(N, coeffs)
 
 
@@ -199,15 +200,17 @@ def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
     """The field width and the packed coefficients v^0..v^N, one per group, of
     V sum_m x0^m A_m v^m times (1 - x0 x_S v) over the subsets S of {1..n}
     with |S| in sizes: A_m the alternant sum of group m (``_alternant_sums``)
-    and V the Vandermonde in x1..xn.  No coefficient holds a zero."""
+    and V the Vandermonde in x1..xn.  No coefficient holds a zero.  The width
+    fits x0^N and the sums' degrees plus one per factor holding x1 (or any x_i)."""
     subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
-    # x1 lies in as many of the factors as any x_i, each raising its degree by one
-    width, sums = _alternant_sums(groups, n, len(groups) - 1 + sum(1 in s for s in subsets))
+    sums = _alternant_sums(groups, n)
+    xdeg, pabs = _bounds(sums)
+    width = _width(max(len(groups) - 1, xdeg + sum(1 in s for s in subsets)), pabs)
     coeffs = []
     for m, anti in enumerate(sums):
         # x0^m A_m, each orbit written out with its signs: V's, e in place of delta
         out = {}
-        for e, c in _unpack(anti, n, width).terms.items():
+        for e, c in anti.terms.items():
             for w, sign in _vandermonde_terms(n):
                 x = _key((m, *(e[i] for i in w)), width)
                 for pe, f in c.terms.items():
@@ -353,9 +356,11 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
     (x0-weight, leading signature) vectors have determinant 1 and unit
     leading coefficients.  The solution is certified Laurent in p and
     verified by substitution.  The x0-weight must lie in
-    0..GENERATOR_WEIGHT_BOUND.
+    0..GENERATOR_WEIGHT_BOUND and the target must be in x0..x3.
     """
     _check_size("x0-weight", x0_wt, GENERATOR_WEIGHT_BOUND)
+    if target.nvars != 4:
+        raise VarMismatch(f"target has nvars = {target.nvars}; the generators' images have 4")
     if target.terms and x0_weight(target) != x0_wt:
         raise NotSymmetric(f"target is not x0-homogeneous of weight {x0_wt}")
     monomials, decomps = _generator_basis(x0_wt)

@@ -43,6 +43,10 @@ from .symmetric import _orbit_sums, check_signature, elem, signatures_of_degree
 #: Python 3.11.7): 7,0,0 at the prime 3 (8.07 M candidates) 0.10-0.16 s, 4,0,0
 #: at 7 (6.87 M) 0.09-0.12 s, 10,0,0 at 2 (2.80 M) 0.11-0.12 s; 4,0,0 at 5 0.10-0.11 s
 COSET_CANDIDATE_BOUND = 10**7
+#: largest prime the coset oracle accepts, checked before its trial division,
+#: which is O(sqrt(prime)): 0.06 ms at 999983, 0.06 s at 10^12 + 39 and about
+#: a minute near 10^18 (2-vCPU Xeon, Python 3.11.7)
+PRIME_BOUND = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -117,10 +121,10 @@ def _vandermonde_terms(n: int) -> tuple:
     return tuple((w, _sort_sign(tuple(-i for i in w))) for w in permutations(range(n)))
 
 
-def _div_vandermonde(anti: dict, n: int, width: int) -> dict:
-    """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric and
-    packed in x1..xn at its strictly decreasing exponents (``_alternant_sums``),
-    Q packed in x0..xn at its weakly decreasing exponents, x0 to the power 0.
+def _div_vandermonde(anti: XPoly, n: int) -> XPoly:
+    """Q with Q * V = A, V the Vandermonde in x1..xn: A antisymmetric in
+    x1..xn and held at its strictly decreasing exponents (``_alternant_sums``),
+    Q in x0..xn at its weakly decreasing exponents, x0 to the power 0.
 
     By V = sum_w sgn(w) x^w(delta), delta = (n-1, ..., 0), A at alpha + delta
     is the sum of sgn(w) Q_sort(alpha + delta - w(delta)), zero where an entry
@@ -130,12 +134,12 @@ def _div_vandermonde(anti: dict, n: int, width: int) -> dict:
     degrees A holds only).  An antisymmetric A is a multiple of V: the
     quotient is exact and nothing is checked.
     """
-    anti = {beta: c.terms for beta, c in _unpack(anti, n, width).terms.items()}
+    anti = {beta: c.terms for beta, c in anti.terms.items()}
     delta = tuple(range(n - 1, -1, -1))
     # (delta - w(delta), -sgn(w)) for w != 1
     shifts = [(tuple(map(sub, w, range(n))), -sign) for w, sign in _vandermonde_terms(n)[1:]]
     hi = max((beta[0] for beta in anti), default=0) - (n - 1)
-    quot: dict[tuple, dict] = {}
+    quot: dict[tuple, PrimeLaurent] = {}
     for degree in sorted({sum(beta) - sum(delta) for beta in anti}):
         for alpha in signatures_of_degree(degree, hi, n):
             q = dict(anti.get(tuple(map(add, alpha, delta)), ()))
@@ -143,27 +147,24 @@ def _div_vandermonde(anti: dict, n: int, width: int) -> dict:
             for shift, sign in shifts:
                 beta = sorted(map(add, alpha, shift), reverse=True)
                 if beta[-1] >= 0 and (known := quot.get(tuple(beta))):
-                    for pe, c in known.items():
+                    for pe, c in known.terms.items():
                         q[pe] = get(pe, 0) + sign * c
-            q = {pe: c for pe, c in q.items() if c}
-            if q:
+            if q := PrimeLaurent._raw(q):
                 quot[alpha] = q
-    return {_key((0,) + alpha, width, pe): c for alpha, q in quot.items() for pe, c in q.items()}
+    return XPoly(n + 1)._raw({(0,) + alpha: q for alpha, q in quot.items()})
 
 
-def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[int, list[dict]]:
-    """The field width and, for each group of signatures, the packed sum over
-    the group of p^pshift Antisym(x^lambda D) / v_lambda(1/p) at its strictly
-    decreasing exponents, packed in the n variables x1..xn (D the deformed
-    product).
+def _alternant_sums(groups: list, n: int, pshift: int = 0) -> list[XPoly]:
+    """For each group of signatures, the sum over the group of
+    p^pshift Antisym(x^lambda D) / v_lambda(1/p) in x1..xn, at its strictly
+    decreasing exponents (D the deformed product).
 
     Both steps are linear and v_lambda depends only on the multiplicity
     class of lambda.  Each term c x^gamma p^e of D adds sgn * c p^(e + pshift)
     to its class's antisymmetric sum at sort(lambda + gamma), sgn the sign of
     the sort, unless lambda + gamma has a repeated entry.  Each class's sum
-    is divided by its norm, exactly as ``_div_packed`` certifies.  xdeg must
-    be at least every part; the width fits x-exponents up to xdeg + n - 1.
-    Zeros may remain.
+    is divided by its norm, exactly as ``_div_packed`` certifies.  The packed
+    width fits the largest part of the groups plus the n - 1 of D.
     """
     reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
     norms = {cls: _multiplicity_norm(lam) for cls, lam in reps.items()}
@@ -171,7 +172,8 @@ def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[i
     # norm needs room for its p-range besides
     _, dpabs = _bounds((_deformed_product(n),))
     npabs = max((-c.min_exp() for c in norms.values()), default=0)
-    width = _width(xdeg + n - 1, dpabs + npabs + abs(pshift))
+    xdeg = max((lam[0] for sigs in groups for lam in sigs), default=0) + n - 1
+    width = _width(xdeg, dpabs + npabs + abs(pshift))
     dterms = [(e[1:], c.terms) for e, c in _deformed_product(n).terms.items()]
     out = []
     for sigs in groups:
@@ -186,8 +188,8 @@ def _alternant_sums(groups: list, n: int, xdeg: int, pshift: int = 0) -> tuple[i
         for cls, total in totals.items():
             # the normalized sum is always Laurent
             _add_into(anti, _div_packed(total, norms[cls].terms, n, width))
-        out.append(anti)
-    return width, out
+        out.append(_unpack(anti, n, width))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -196,15 +198,15 @@ def omega_hl(lam: tuple, n: int) -> XPoly:
 
     Computed as p^(-sum i*lambda_i) / v_lambda(1/p) times the signed
     S_n-symmetrization of x^lambda * prod_{i<j}(x_i - x_j/p), divided
-    exactly by the Vandermonde: ``_alternant_sums`` of the one signature and
-    the step by V (``_div_vandermonde``), each orbit then written out once.
+    exactly by the Vandermonde: the ``_alternant_sums`` of the one signature,
+    the step by V (``_div_vandermonde``) and each orbit written out once.
     """
     if n < 1:
         raise IndexOutOfRange("need n >= 1")
     lam = check_signature(lam, n)
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    width, (anti,) = _alternant_sums([[lam]], n, lam[0], -weight)
-    return _orbit_sums(_unpack(_div_vandermonde(anti, n, width), n + 1, width))
+    (anti,) = _alternant_sums([[lam]], n, -weight)
+    return _orbit_sums(_div_vandermonde(anti, n))
 
 
 def omega_pi(i: int, n: int) -> XPoly:
@@ -316,8 +318,11 @@ def _cosets(lam: tuple, n: int, prime: int) -> tuple[int, dict]:
     """The common scalar part of lambda and {diagonal exponents: count} of the
     HNF cosets of the rest.  The cosets of lambda are exactly the scalar
     multiples of those, which keeps the enumeration within the candidate bound.
-    A prime that is not one is refused before any table is built."""
+    A prime past PRIME_BOUND, or a number that is not prime, is refused
+    before any table is built."""
     lam = check_signature(lam, n)
+    if prime > PRIME_BOUND:
+        raise EnumerationTooLarge(f"prime {prime} exceeds the bound {PRIME_BOUND}")
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     base = lam[-1]

@@ -32,7 +32,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, _key, _pack, _unpack, _width, p
+from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, _pack, _unpack, _width, p
 from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
@@ -709,22 +709,19 @@ def test_omega_hl_matches_reference_on_every_small_signature(n, lam):
 def test_hl_sums_of_a_group_is_the_sum_over_its_signatures(n, pshift):
     # the Hall-Littlewood sums: the alternant sums, then one step by V each
     def hl_sums(groups):
-        width, sums = _alternant_sums(groups, n, 4, pshift)
-        return width, [_div_vandermonde(anti, n, width) for anti in sums]
+        return [_div_vandermonde(anti, n) for anti in _alternant_sums(groups, n, pshift)]
 
     sigs = list(signatures(4, n))
     groups = [sigs[::2], sigs[1::2], [lam for lam in sigs if lam[0] == 3], []]
-    width, sums = hl_sums(groups)
+    sums = hl_sums(groups)
     assert len(sums) == len(groups)
-    for group, packed in zip(groups, sums):
+    for group, got in zip(groups, sums):
         expected = XPoly(n + 1)
         for lam in group:
-            one_width, (one,) = hl_sums([[lam]])
-            one = _unpack(one, n + 1, one_width)
+            (one,) = hl_sums([[lam]])
             weight = sum((i + 1) * part for i, part in enumerate(lam))
             assert _orbit_sums(one) == omega_hl(lam, n) * PrimeLaurent.p_power(pshift + weight)
             expected = expected + one
-        got = _unpack(packed, n + 1, width)
         assert got == expected
         assert all(list(e[1:]) == sorted(e[1:], reverse=True) for e in got.terms)
 
@@ -760,9 +757,7 @@ def antisymmetric_reps():
 @example((3, {(5, 3, 0): PrimeLaurent({-2: Fraction(1, 2)}), (4, 2, 1): PrimeLaurent({1: -3, 0: 1})}))
 def test_div_vandermonde_matches_packed_division(case):
     n, reps = case
-    width = _width(5, max((abs(pe) for c in reps.values() for pe in c.terms), default=0))
-    anti = {_key(beta, width, pe): f for beta, c in reps.items() for pe, f in c.terms.items()}
-    quot = _unpack(_div_vandermonde(anti, n, width), n + 1, width)
+    quot = _div_vandermonde(XPoly(n, reps), n)
     assert all(e[0] == 0 and list(e[1:]) == sorted(e[1:], reverse=True) for e in quot.terms)
     assert _orbit_sums(quot) == written_out_over_v(reps, n)
 
@@ -772,8 +767,26 @@ def test_omega_hl_at_the_part_bound_is_the_alternant_sum_over_v(lam):
     # ref_omega_hl takes seconds at these parts; the alternant sum written
     # out and divided by V with the heap division takes a tenth of one
     weight = sum((i + 1) * part for i, part in enumerate(lam))
-    width, (anti,) = _alternant_sums([[lam]], 3, lam[0], -weight)
-    assert omega_hl(lam, 3) == written_out_over_v(_unpack(anti, 3, width).terms, 3)
+    (anti,) = _alternant_sums([[lam]], 3, -weight)
+    assert omega_hl(lam, 3) == written_out_over_v(anti.terms, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alternant_sums_and_their_quotients_at_their_exponents(n):
+    # what passes between the sums and the step by V: each sum an XPoly in
+    # x1..xn at strictly decreasing exponents, each quotient one in x0..xn
+    # with x0 to the power 0, at weakly decreasing exponents
+    by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(6)]
+    sums = _alternant_sums(by_top, n)
+    assert len(sums) == len(by_top)
+    for anti in sums:
+        assert type(anti) is XPoly and anti.nvars == n and anti.terms
+        assert all(all(x > y for x, y in zip(e, e[1:])) for e in anti.terms)
+        assert_canonical(anti)
+        quot = _div_vandermonde(anti, n)
+        assert type(quot) is XPoly and quot.nvars == n + 1 and quot.terms
+        assert all(e[0] == 0 and all(x >= y for x, y in zip(e[1:], e[2:])) for e in quot.terms)
+        assert_canonical(quot)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from heckeseries.errors import (
     NotDivisible,
     NotLaurent,
     NotSymmetric,
+    VarMismatch,
 )
 from heckeseries.series import (
     DEFAULT_ORDER,
@@ -167,11 +168,10 @@ class TestPNumerator:
         delta = N if at_end else 2**n - 1
         real = series._alternant_sums
 
-        def with_extra_term(groups, genus, xdeg, pshift=0):
-            width, sums = real(groups, genus, xdeg, pshift)
-            key = _key(tuple(range(genus - 1, -1, -1)), width)
-            sums[delta][key] = sums[delta].get(key, 0) + 1
-            return width, sums
+        def with_extra_term(groups, genus, pshift=0):
+            sums = real(groups, genus, pshift)
+            sums[delta] = sums[delta] + XPoly.monomial(genus, tuple(range(genus - 1, -1, -1)))
+            return sums
 
         monkeypatch.setattr(series, "_alternant_sums", with_extra_term)
         with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{delta} is nonzero"):
@@ -365,6 +365,15 @@ class TestExpressInGenerators:
         monkeypatch.setattr(series, "_generator_basis", refuse)
         with pytest.raises(error, match="x0-weight"):
             express_in_generators(XPoly(4), weight)
+
+    def test_target_of_another_genus_refused_before_the_basis(self, monkeypatch):
+        # the genus-2 denominator's v^2 coefficient is in x0..x2, not x0..x3
+        def refuse(x0_wt):
+            raise AssertionError(f"generator basis built for weight {x0_wt}")
+
+        monkeypatch.setattr(series, "_generator_basis", refuse)
+        with pytest.raises(VarMismatch, match="nvars = 3"):
+            express_in_generators(q_poly(2).coeffs[2], 2)
 
     def test_cached_basis_matches_fresh_recomputation(self):
         for target, w in theorem_systems():

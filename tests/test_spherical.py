@@ -15,6 +15,7 @@ from heckeseries.errors import (
 from heckeseries.golden import golden_decomposition, golden_order
 from heckeseries.spherical import (
     COSET_CANDIDATE_BOUND,
+    PRIME_BOUND,
     _compositions,
     _coset_buckets,
     _valuation_table,
@@ -233,6 +234,26 @@ class TestCosetOracle:
         for oracle in (omega_cosets, coset_count):
             with pytest.raises(ValueError, match=f"^{prime} is not prime$"):
                 oracle((1, 0, 0), 3, prime)
+
+    @pytest.mark.parametrize("prime", [999983, 1000003])
+    @pytest.mark.parametrize("lam", [(3,), (2, 2, 2)])
+    def test_prime_past_the_bound_refused_before_the_trial_division(self, lam, prime, monkeypatch):
+        # n = 1 and a scalar signature enumerate nothing, so no other bound
+        # stops a large prime; the largest prime under the bound is accepted
+        n = len(lam)
+        expected = XPoly.monomial(n + 1, (0,) + lam, Fraction(1, prime ** sum((i + 1) * e for i, e in enumerate(lam))))
+        if prime <= PRIME_BOUND:
+            assert omega_cosets(lam, n, prime) == expected
+            assert coset_count(lam, n, prime) == 1
+            return
+
+        def refuse(q):
+            raise AssertionError(f"trial division of {q}")
+
+        monkeypatch.setattr(spherical, "_is_prime", refuse)
+        for oracle in (omega_cosets, coset_count):
+            with pytest.raises(EnumerationTooLarge, match=f"^prime {prime} exceeds the bound {PRIME_BOUND}$"):
+                oracle(lam, n, prime)
 
     def test_rank_four_is_not_wired(self):
         with pytest.raises(IndexOutOfRange):
