@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import permutations
 from math import log10
 
 from .algebra import VSeries, XPoly
@@ -37,7 +36,7 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .symmetric import signatures_of_degree
+from .symmetric import _orbit_size, signatures_of_degree
 from .verify import check_results, image_mismatch, run_all
 
 #: largest part accepted by --lambda; it covers every signature the series
@@ -116,7 +115,7 @@ def _specialized_size(lam: tuple, prime: int, fmt: str) -> tuple[int, int]:
         if desc[-1] >= lo:
             den = sum(i * part for i, part in enumerate(desc, start=1))
             longest = max(longest, digits(den))
-            terms = len(set(permutations(desc))) if fmt == "json" else 1
+            terms = _orbit_size(desc) if fmt == "json" else 1
             size += terms * (digits(den - total) + digits(den) + 64)
     return longest, size
 

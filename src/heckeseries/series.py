@@ -45,7 +45,7 @@ from .spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from .symmetric import _orbit_sums, signatures, to_msym, x0_weight
+from .symmetric import _dominant_product, _orbit_sums, signatures, to_msym, x0_weight
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
@@ -55,8 +55,9 @@ DEFAULT_ORDER = 12
 #: (2-vCPU Xeon, cold)
 SERIES_ORDER_BOUND = 20
 #: hard bound on the x0-weight of express_in_generators; its generator basis,
-#: built once per weight, takes 0.36-0.38 s cold at this weight (56 images),
-#: 0.50-0.51 s at 11 and 1.07-1.11 s at 12 (84 images) (2-vCPU Xeon)
+#: built once per weight from the cached decompositions of lower weights, takes
+#: 0.11-0.13 s cold at this weight (56 monomials), 0.04-0.05 s at 8, 0.18-0.20 s
+#: at 11 and 0.31-0.40 s at 12 (84 monomials) (2-vCPU Xeon, Python 3.11)
 GENERATOR_WEIGHT_BOUND = 10
 
 GENERATOR_NAMES = ("T(p)", "T1(p^2)", "T2(p^2)", "[p]3")
@@ -246,10 +247,10 @@ def p_numerator(n: int, N: int) -> VSeries:
     symmetric in x1..xn (``to_msym`` raises NotSymmetric otherwise).
     Returns the degree-(2^n - 2) polynomial part.
     """
-    if N < 2**n + 4:
-        raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
+    if N < 2**n + 4:
+        raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
     _check_size("series order", N, SERIES_ORDER_BOUND)
     top = 2**n - 2
     by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
@@ -338,12 +339,28 @@ def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
 
 
 @lru_cache(maxsize=None)
+def _monomial_image(g: tuple) -> XPoly:
+    """hecke_image of the generator monomial g, held on its terms at weakly
+    decreasing exponents in x1..x3: that of g with one generator fewer times
+    the generator's image.  The generator split off is the one of smallest
+    image ([p]_3 has 1 term, T_2(p^2) 7, T(p) 8 and T_1(p^2) 19)."""
+    present = [i for i in range(4) if g[i]]
+    if not present:
+        return XPoly.constant(4, 1)
+    i = min(present, key=lambda j: len(_generator_image_power(j).terms))
+    rest = g[:i] + (g[i] - 1,) + g[i + 1 :]
+    return _dominant_product(_monomial_image(rest), _generator_image_power(i))
+
+
+@lru_cache(maxsize=None)
 def _generator_basis(x0_wt: int) -> tuple[tuple, tuple]:
     """The generator monomials of the x0-weight and, for each, the monomial
-    basis decomposition of its image as (signature, coefficient) pairs."""
+    basis decomposition of its image as (signature, coefficient) pairs,
+    signatures descending, as ``to_msym`` gives it."""
     monomials = tuple(generator_monomials(x0_wt))
-    decomps = (to_msym(hecke_image(HeckeExpr({g: 1}))).items() for g in monomials)
-    return monomials, tuple(map(tuple, decomps))
+    images = (_monomial_image(g).terms for g in monomials)
+    # one x0-weight per image: its exponents sort as their signatures do
+    return monomials, tuple(tuple((e[1:], t[e]) for e in sorted(t, reverse=True)) for t in images)
 
 
 def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
@@ -351,11 +368,12 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
 
     Builds the linear system in the monomial symmetric basis over all
     generator monomials of matching x0-weight, whose images are decomposed
-    once per weight, and solves it by back-substitution.  The system is
-    triangular because the leads are unimodular: the generator images'
-    (x0-weight, leading signature) vectors have determinant 1 and unit
-    leading coefficients.  The solution is certified Laurent in p and
-    verified by substitution.  The x0-weight must lie in
+    once per weight on orbit representatives (``_monomial_image``), and
+    solves it by back-substitution.  The system is triangular because the
+    leads are unimodular: the generator images' (x0-weight, leading
+    signature) vectors have determinant 1 and unit leading coefficients.
+    The solution is certified Laurent in p and verified by substitution,
+    which checks the decompositions independently.  The x0-weight must lie in
     0..GENERATOR_WEIGHT_BOUND and the target must be in x0..x3.
     """
     _check_size("x0-weight", x0_wt, GENERATOR_WEIGHT_BOUND)

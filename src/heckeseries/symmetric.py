@@ -8,9 +8,11 @@ A signature is a non-increasing tuple of non-negative integers of length n.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
-from .algebra import PrimeLaurent, XPoly
+from .algebra import PrimeLaurent, XPoly, _add_into, _bounds, _cdiv, _clear, _key, _mul_into, _pack, _unpack, _width
 from .errors import IndexOutOfRange, LengthMismatch, NotSymmetric
 
 Signature = tuple
@@ -83,9 +85,55 @@ def to_msym(a: XPoly) -> dict[Signature, PrimeLaurent]:
         if out.setdefault(sig, c) != c:
             raise NotSymmetric(f"term {e} differs in coefficient from its orbit {sig}")
     # each term lies in exactly one orbit, so the counts match iff no term is missing
-    if sum(len(set(permutations(sig))) for sig in out) != len(a.terms):
+    if sum(map(_orbit_size, out)) != len(a.terms):
         raise NotSymmetric("an orbit is missing terms")
     return {sig: out[sig] for sig in sorted(out, reverse=True)}
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(parts: tuple) -> int:
+    """The number of distinct orderings of parts: n! / |Stab parts|."""
+    size = factorial(len(parts))
+    for v in set(parts):
+        size //= factorial(parts.count(v))
+    return size
+
+
+def _dominant_product(f: XPoly, g: XPoly) -> XPoly:
+    """The terms of f * g at weakly decreasing exponents, for f and g symmetric
+    in x1..xn: f held on its terms at weakly decreasing exponents, g in full.
+
+    Since g is symmetric, the coefficient of m_lambda in f * g is the sum over
+    the terms mu of f, and the terms gamma of g with sort(mu + gamma) = lambda,
+    of f_mu g_gamma |O(mu)| / |O(lambda)|, O the orbit (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2).  The kernel multiplies f's terms,
+    each times |O(mu)|, by g on ints; each product term is added at its sorted
+    exponent, and each sum divided once at the end.
+    """
+    (xf, pf), (xg, pg) = _bounds((f,)), _bounds((g,))
+    width = _width(xf + xg, pf + pg)
+    weighted = {}
+    for e, c in f.terms.items():
+        x, size = _key(e, width), _orbit_size(e[1:])
+        for pe, v in c.terms.items():
+            weighted[x + pe] = size * v
+    (a, b), d = _clear([weighted, _pack(g, width)])
+    product: dict = {}
+    _mul_into(product, a, b)
+    sums: dict[tuple, dict] = {}
+    for e, c in _unpack(product, f.nvars, width).terms.items():
+        lam = (e[0], *sorted(e[1:], reverse=True))
+        if lam in sums:
+            _add_into(sums[lam], c.terms)
+        else:
+            sums[lam] = c.terms
+    terms = {}
+    for lam, s in sums.items():
+        den = d * d * _orbit_size(lam[1:])
+        c = PrimeLaurent._raw({pe: _cdiv(v, den) for pe, v in s.items() if v})
+        if c:
+            terms[lam] = c
+    return f._raw(terms)
 
 
 def _orbit_sums(dominant: XPoly) -> XPoly:

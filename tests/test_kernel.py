@@ -56,7 +56,7 @@ from heckeseries.spherical import (
     sp_image_Ti,
     sp_image_Tp,
 )
-from heckeseries.symmetric import _orbit_sums, check_signature, from_msym, signatures, to_msym
+from heckeseries.symmetric import _dominant_product, _orbit_sums, check_signature, from_msym, signatures, to_msym
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -393,7 +393,7 @@ def hecke_exprs(max_degree=3, max_terms=4):
     return st.dictionaries(gens, wide_laurents, max_size=max_terms).map(HeckeExpr)
 
 
-def msym_decomps(min_nvars=1):
+def msym_decomps(min_nvars=1, max_nvars=4):
     """(n, w, decomposition): nonzero coefficients on signatures of length n."""
     def decomps(n):
         sigs = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
@@ -401,7 +401,7 @@ def msym_decomps(min_nvars=1):
         )
         return st.tuples(st.just(n), st.integers(0, 3), st.dictionaries(sigs, nonzero_laurents, max_size=4))
 
-    return st.integers(min_nvars, 4).flatmap(decomps)
+    return st.integers(min_nvars, max_nvars).flatmap(decomps)
 
 
 def weighted_hecke_exprs(max_weight=8, max_terms=4):
@@ -895,6 +895,25 @@ def test_to_msym_refuses_what_the_reference_refuses(case, kind, data):
     for decompose in (to_msym, ref_to_msym):
         with pytest.raises(NotSymmetric):
             decompose(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(msym_decomps(n, n), msym_decomps(n, n))))
+@example(
+    # |Stab mu| = 6, 2 and 1 on the left, rational coefficients on both sides
+    (
+        (3, 1, {(1, 1, 1): Fraction(1, 2), (2, 1, 1): PrimeLaurent({-1: Fraction(-2, 3), 2: 1}), (2, 1, 0): p}),
+        (3, 2, {(1, 0, 0): Fraction(1, 3), (1, 1, 0): PrimeLaurent({1: Fraction(3, 4)}), (0, 0, 0): -1}),
+    )
+)
+def test_dominant_product_matches_full_product(case):
+    (n, wf, f), (_, wg, g) = case
+    dominant = XPoly(n + 1, {(wf,) + sig: c for sig, c in f.items()})
+    got = _dominant_product(dominant, from_msym(g, n, wg))
+    product = from_msym(f, n, wf) * from_msym(g, n, wg)
+    assert type(got) is XPoly and got.nvars == n + 1
+    assert got.terms == {(wf + wg,) + sig: c for sig, c in to_msym(product).items()}
+    assert_canonical(got)
 
 
 # -- HeckeExpr: an XPoly over the generator names ---------------------------

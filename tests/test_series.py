@@ -45,7 +45,7 @@ from heckeseries.series import (
     specialize_nu,
 )
 from heckeseries.spherical import sp_image_pbracket, sp_image_Tp
-from heckeseries.symmetric import msym, signatures, to_msym, x0_weight
+from heckeseries.symmetric import _dominant_product, msym, signatures, to_msym, x0_weight
 
 
 class TestRSeries:
@@ -144,13 +144,21 @@ class TestPNumerator:
             p_numerator(3, 8)
 
     def test_checks_in_order(self):
-        # the margin first, then the genus, then the order bound
-        with pytest.raises(ValueError, match="margin"):
+        # the genus first, then the margin, then the order bound
+        with pytest.raises(ValueError, match="genus"):
             p_numerator(4, 12)
         with pytest.raises(ValueError, match="genus"):
             p_numerator(4, 20)
+        with pytest.raises(ValueError, match="margin"):
+            p_numerator(3, 11)
         with pytest.raises(EnumerationTooLarge):
             p_numerator(3, SERIES_ORDER_BOUND + 1)
+
+    @pytest.mark.parametrize("n, N", [(-1, 4), (0, 12), (40, 20)])
+    def test_genus_checked_before_the_margin(self, n, N):
+        # the margin 2^n + 4 of a genus out of range is not a bound to report
+        with pytest.raises(ValueError, match=r"^genus 1\.\.3 only$"):
+            p_numerator(n, N)
 
     @pytest.mark.parametrize("n, N", [(2, 20), (3, SERIES_ORDER_BOUND)])
     def test_matches_r_series_route(self, n, N):
@@ -277,6 +285,12 @@ class TestHeckeImage:
         assert hecke_image(e) == sp_image_Tp(3) * PrimeLaurent.p_power(-2)
 
 
+def substituted_basis(w):
+    """_generator_basis(w) as the full images substituted and read back by to_msym."""
+    monomials = tuple(generator_monomials(w))
+    return monomials, tuple(tuple(to_msym(hecke_image(HeckeExpr({g: 1}))).items()) for g in monomials)
+
+
 def theorem_systems():
     """(target, x0-weight) of the ten systems p3_in_generators and q3_in_generators solve."""
     num, q = p_numerator(3, DEFAULT_ORDER), q_poly(3)
@@ -376,29 +390,46 @@ class TestExpressInGenerators:
             express_in_generators(q_poly(2).coeffs[2], 2)
 
     def test_cached_basis_matches_fresh_recomputation(self):
+        # the cached decompositions against images substituted afresh
         for target, w in theorem_systems():
             express_in_generators(target, w)
         for w in range(7):
             cached = _generator_basis(w)
-            assert cached == _generator_basis.__wrapped__(w)
+            assert cached == substituted_basis(w)
             assert type(cached[0]) is tuple and type(cached[1]) is tuple
             assert all(type(decomp) is tuple for decomp in cached[1])
 
+    @pytest.mark.parametrize("w", range(9))
+    def test_basis_matches_substitution(self, w):
+        series._monomial_image.cache_clear()
+        _generator_basis.cache_clear()
+        # tuples: equal in order, pair for pair, signatures descending as to_msym gives them
+        assert _generator_basis(w) == substituted_basis(w)
+
     def test_images_computed_once_per_weight(self, monkeypatch):
-        calls = []
+        calls, products = [], []
 
         def counted(e):
             calls.append(e)
             return hecke_image(e)
 
+        def counted_product(f, g):
+            products.append(g)
+            return _dominant_product(f, g)
+
         monkeypatch.setattr(series, "hecke_image", counted)
+        monkeypatch.setattr(series, "_dominant_product", counted_product)
+        series._monomial_image.cache_clear()
         _generator_basis.cache_clear()
         for target, w in theorem_systems():
             express_in_generators(target, w)
         # weights 0..6 have 1, 1, 4, 4, 10, 10 and 20 generator monomials: 50
-        # images, against 68 for one basis per system; each system adds one
-        # substitution check
-        assert len(calls) == 50 + 10
+        # decompositions, against 68 for one basis per system, each but the
+        # constant's one product with a generator image; the basis substitutes
+        # nothing, and each system adds one substitution check
+        assert series._monomial_image.cache_info().misses == 50
+        assert len(products) == 49
+        assert len(calls) == 10
         assert _generator_basis.cache_info().misses == 7
 
     def test_perturbed_target_changes_solution(self):
