@@ -10,7 +10,6 @@ from math import log10
 
 from .algebra import VSeries, XPoly
 from .errors import EnumerationTooLarge, HeckeError
-from .golden import golden_order
 from .render import (
     hecke_series_text,
     series_text,
@@ -20,6 +19,7 @@ from .series import (
     DEFAULT_ORDER,
     SERIES_ORDER_BOUND,
     functional_eq_check,
+    image_mismatch,
     p3_in_generators,
     p_numerator,
     q3_in_generators,
@@ -37,7 +37,6 @@ from .spherical import (
     sp_image_Tp,
 )
 from .symmetric import _orbit_size, signatures_of_degree
-from .verify import check_results, image_mismatch, run_all
 
 #: largest part accepted by --lambda; it covers every signature the series
 #: use up to SERIES_ORDER_BOUND.  At this bound one omega, computed and
@@ -234,6 +233,8 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         lines.append(_render_xpoly(value, fmt))
 
     elif args.command == "table":
+        from .golden import golden_order
+
         if fmt == "json":
             lines.append(
                 json.dumps(
@@ -312,6 +313,8 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             )
 
     elif args.command == "verify-all":
+        from .verify import check_results, run_all
+
         if fmt == "json":
             records = [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in check_results()]
             lines.append(json.dumps(records))

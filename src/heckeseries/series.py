@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import lshift
 
 from .algebra import (
     PL_ZERO,
@@ -50,9 +51,9 @@ from .symmetric import _dominant_product, _orbit_sums, signatures, to_msym, x0_w
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
 #: hard bound on the truncation order of r_series, p_numerator and p3_closed_form; at
-#: this order r_series(3, N) takes 0.19-0.24 s, p_numerator(3, N), which does not
-#: call it, 0.13-0.22 s with its tail check, and p3_closed_form(N) 0.026-0.043 s
-#: (2-vCPU Xeon, cold)
+#: this order r_series(3, N) takes 0.15-0.26 s, p_numerator(3, N), which does not
+#: call it, 0.06-0.12 s with its tail check, and p3_closed_form(N) 0.014-0.025 s
+#: (2-vCPU Xeon, Python 3.11.7, cold)
 SERIES_ORDER_BOUND = 20
 #: hard bound on the x0-weight of express_in_generators; its generator basis,
 #: built once per weight from the cached decompositions of lower weights, takes
@@ -121,6 +122,13 @@ def _generator_image_power(index: int) -> XPoly:
 def hecke_image(e: HeckeExpr) -> XPoly:
     """Ring-homomorphism extension of the spherical map to generator polynomials."""
     return e.substitute({i: _generator_image_power(i) for i in range(4)})
+
+
+def image_mismatch(exprs, expanded: VSeries):
+    """The first k where the image of exprs[k] differs from the v^k coefficient, else None."""
+    return next(
+        (k for k, e in enumerate(exprs) if hecke_image(e) != expanded.coeffs[k]), None
+    )
 
 
 # -- series ----------------------------------------------------------
@@ -202,20 +210,30 @@ def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
     V sum_m x0^m A_m v^m times (1 - x0 x_S v) over the subsets S of {1..n}
     with |S| in sizes: A_m the alternant sum of group m (``_alternant_sums``)
     and V the Vandermonde in x1..xn.  No coefficient holds a zero.  The width
-    fits x0^N and the sums' degrees plus one per factor holding x1 (or any x_i)."""
+    fits x0^N and the sums' degrees plus one per factor holding x1 (or any x_i).
+    A_m is written out once per term sgn(w) x^w(delta) of V, e in place of
+    delta: e_i shifted by width * (w^-1(i) + 2), shifts built once per call,
+    ORed into x0^m's field, with the p-terms copied, or negated if sgn(w) = -1."""
     subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
     sums = _alternant_sums(groups, n)
     xdeg, pabs = _bounds(sums)
     width = _width(max(len(groups) - 1, xdeg + sum(1 in s for s in subsets)), pabs)
+    vterms = [([width * (w.index(i) + 2) for i in range(n)], sign) for w, sign in _vandermonde_terms(n)]
     coeffs = []
     for m, anti in enumerate(sums):
-        # x0^m A_m, each orbit written out with its signs: V's, e in place of delta
         out = {}
+        x0 = m << width
         for e, c in anti.terms.items():
-            for w, sign in _vandermonde_terms(n):
-                x = _key((m, *(e[i] for i in w)), width)
-                for pe, f in c.terms.items():
-                    out[x + pe] = sign * f
+            items = c.terms.items()
+            for shifts, sign in vterms:
+                # the fields are disjoint: their sum is their OR
+                x = sum(map(lshift, e, shifts), x0)
+                if sign > 0:
+                    for pe, f in items:
+                        out[x + pe] = f
+                else:
+                    for pe, f in items:
+                        out[x + pe] = -f
         coeffs.append(out)
     _factor_loop(coeffs, subsets, n + 1, width)
     return width, coeffs
@@ -310,9 +328,11 @@ def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
     row, and NotLaurent when an unknown is not Laurent in p.
     """
     rows = [[_laurent(c) for c in r] for r in rows]
+    nonzero = [[j for j in range(ncols) if not r[j].is_zero()] for r in rows]
+    last = {j: i for i, cols in enumerate(nonzero) for j in cols}
     pivot_col = {}
     for col in range(ncols):
-        row = max((i for i, r in enumerate(rows) if not r[col].is_zero()), default=None)
+        row = last.get(col)
         if row is None:
             raise NonUniqueSolution(f"unknown {col} has a zero column")
         if row in pivot_col:
@@ -325,8 +345,8 @@ def _solve_fraction_free(rows: list[list[PrimeLaurent]], ncols: int):
         row, col = rows[i], pivot_col.get(i)
         # every other nonzero column of this row pivots further down: solved
         rem = row[ncols]
-        for j in range(ncols):
-            if j != col and not row[j].is_zero():
+        for j in nonzero[i]:
+            if j != col:
                 rem = rem - sol[j] * row[j]
         if col is not None:
             try:

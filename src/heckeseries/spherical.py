@@ -20,16 +20,15 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import isqrt
-from operator import add, sub
+from operator import add, lshift, sub
 
 from .algebra import (
     PL_ONE,
     PrimeLaurent,
     XPoly,
     _add_into,
-    _bounds,
     _div_packed,
     _key,
     _unpack,
@@ -154,6 +153,27 @@ def _div_vandermonde(anti: XPoly, n: int) -> XPoly:
     return XPoly(n + 1)._raw({(0,) + alpha: q for alpha, q in quot.items()})
 
 
+def _gap_entry(gaps: tuple, n: int, width: int, pshift: int) -> tuple:
+    """The multiplicity class of the signatures lambda whose adjacent gaps,
+    capped at n, are gaps, and per permutation w that sorts some lambda +
+    gamma (x^gamma a term of D) strictly decreasing: the field shifts that
+    pack w(lambda), and the packed terms sgn(w) c x^w(gamma) p^(e + pshift)
+    of those c x^gamma p^e of D.  Entries of gamma lie in 0..n-1, so a gap of
+    n or more decides each comparison across it, while one of n - 1 can tie:
+    the signature with these gaps and last part 0 stands for them all."""
+    lam = tuple(accumulate(reversed(gaps), initial=0))[::-1]
+    by_w: dict[tuple, dict] = {}
+    for e, c in _deformed_product(n).terms.items():
+        beta = tuple(map(add, lam, e[1:]))
+        if sign := _sort_sign(beta):
+            w = tuple(sorted(range(n), key=beta.__getitem__, reverse=True))
+            x = _key(tuple(e[1 + i] for i in w), width, pshift)
+            by_w.setdefault(w, {}).update((x + pe, sign * f) for pe, f in c.terms.items())
+    return _multiplicity_class(lam), [
+        ([width * (w.index(i) + 1) for i in range(n)], terms) for w, terms in by_w.items()
+    ]
+
+
 def _alternant_sums(groups: list, n: int, pshift: int = 0) -> list[XPoly]:
     """For each group of signatures, the sum over the group of
     p^pshift Antisym(x^lambda D) / v_lambda(1/p) in x1..xn, at its strictly
@@ -161,33 +181,38 @@ def _alternant_sums(groups: list, n: int, pshift: int = 0) -> list[XPoly]:
 
     Both steps are linear and v_lambda depends only on the multiplicity
     class of lambda.  Each term c x^gamma p^e of D adds sgn * c p^(e + pshift)
-    to its class's antisymmetric sum at sort(lambda + gamma), sgn the sign of
-    the sort, unless lambda + gamma has a repeated entry.  Each class's sum
-    is divided by its norm, exactly as ``_div_packed`` certifies.  The packed
+    to its class's antisymmetric sum at sort(lambda + gamma) = w(lambda) +
+    w(gamma), w the sorting permutation and sgn its sign, unless lambda + gamma
+    has a repeated entry.  The class, each w and its packed terms depend only
+    on the gaps of lambda capped at n: a table built lazily per call holds
+    them per gap pattern (``_gap_entry``), so each signature packs w(lambda)
+    once per w, by field shifts, and adds the terms to it.  Each class's sum
+    is divided by its norm, exactly as ``_div_packed`` certifies, but for the
+    class of distinct parts, of norm 1, which is added as it is.  The packed
     width fits the largest part of the groups plus the n - 1 of D.
     """
-    reps = {_multiplicity_class(lam): lam for sigs in groups for lam in sigs}
-    norms = {cls: _multiplicity_norm(lam) for cls, lam in reps.items()}
-    # the sums' p-exponents lie in pshift + [-pabs(D), 0], and dividing by a
-    # norm needs room for its p-range besides
-    _, dpabs = _bounds((_deformed_product(n),))
-    npabs = max((-c.min_exp() for c in norms.values()), default=0)
+    # the sums' p-exponents lie in pshift + [-n(n - 1)/2, 0], D's range, and
+    # dividing by a norm needs room for its p-range besides, as wide at most
     xdeg = max((lam[0] for sigs in groups for lam in sigs), default=0) + n - 1
-    width = _width(xdeg, dpabs + npabs + abs(pshift))
-    dterms = [(e[1:], c.terms) for e, c in _deformed_product(n).terms.items()]
-    out = []
+    width = _width(xdeg, n * (n - 1) + abs(pshift))
+    cap, unit = (n,) * (n - 1), (1,) * n
+    table, norms, out = {}, {}, []
     for sigs in groups:
-        totals: dict[tuple, dict] = {}
-        for lam in sigs:
-            total = totals.setdefault(_multiplicity_class(lam), {})
-            for gamma, c in dterms:
-                beta = tuple(map(add, lam, gamma))
-                if sign := _sort_sign(beta):
-                    _add_into(total, c, sign, _key(sorted(beta, reverse=True), width, pshift))
         anti: dict = {}
+        totals = {unit: anti}
+        for lam in sigs:
+            gaps = tuple(map(min, map(sub, lam, lam[1:]), cap))
+            if (entry := table.get(gaps)) is None:
+                entry = table[gaps] = _gap_entry(gaps, n, width, pshift)
+                if entry[0] not in norms:
+                    norms[entry[0]] = _multiplicity_norm(lam).terms
+            total = totals.setdefault(entry[0], {})
+            for shifts, terms in entry[1]:
+                _add_into(total, terms, 1, sum(map(lshift, lam, shifts)))
         for cls, total in totals.items():
-            # the normalized sum is always Laurent
-            _add_into(anti, _div_packed(total, norms[cls].terms, n, width))
+            if total is not anti:
+                # the normalized sum is always Laurent
+                _add_into(anti, _div_packed(total, norms[cls], n, width))
         out.append(_unpack(anti, n, width))
     return out
 

@@ -15,7 +15,7 @@ from .series import (
     DEFAULT_ORDER,
     HeckeExpr,
     functional_eq_check,
-    hecke_image,
+    image_mismatch,
     p3_closed_form,
     p3_in_generators,
     p_numerator,
@@ -138,13 +138,6 @@ def check_low_genus():
     if p2 != expected:
         return False, "genus-2 numerator mismatch"
     return True, "P_1 = 1 and P_2 = 1 - x0^2 x1 x2 v^2 / p"
-
-
-def image_mismatch(exprs, expanded: VSeries):
-    """The first k where the image of exprs[k] differs from the v^k coefficient, else None."""
-    return next(
-        (k for k, e in enumerate(exprs) if hecke_image(e) != expanded.coeffs[k]), None
-    )
 
 
 def check_theorem1():

@@ -309,7 +309,8 @@ class TestPlumbing:
     )
     def test_failed_verification_prints_then_exits_1(self, argv, last_line, capsys, monkeypatch):
         monkeypatch.setattr(cli, "image_mismatch", lambda exprs, expanded: 0)
-        monkeypatch.setattr(cli, "run_all", lambda report: report("[FAIL] stub check") or False)
+        # cli imports run_all from verify when verify-all runs
+        monkeypatch.setattr(verify, "run_all", lambda report: report("[FAIL] stub check") or False)
         code, out = invoke(capsys, argv)
         assert code == 1
         assert out.endswith(last_line + "\n")

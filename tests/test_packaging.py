@@ -97,6 +97,14 @@ def test_cli_import_leaves_out_dataclasses(module):
     assert out.stdout == "False\n"
 
 
+def test_cli_import_leaves_out_verify_and_golden():
+    # only verify-all and table read them, and import them where they run
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    code = "import sys, heckeseries.cli; print([m for m in ('heckeseries.verify', 'heckeseries.golden') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 def unread_private_definitions(paths):
     """Non-dunder ``_``-prefixed functions, methods and classes defined in the
     given source files that no source file reads, as a Name or an Attribute,

@@ -2,12 +2,12 @@
 polynomials over the Hecke ring, and the indeterminate-coefficient solve."""
 
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
 
-from heckeseries import series
+from heckeseries import series, spherical
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, _key, p
 from heckeseries.errors import (
     EnumerationTooLarge,
@@ -197,6 +197,25 @@ class TestPNumerator:
         top = 2**n - 2
         assert VSeries(top, quots[: top + 1]) == p_numerator(n, N)
         assert all(q.is_zero() for q in quots[top + 1 :])
+
+    @pytest.mark.parametrize("n, sizes", [(1, ()), (1, (1,)), (2, ()), (2, (1, 2)), (3, ()), (3, (1, 2, 3))])
+    def test_write_out_matches_one_key_per_permutation(self, n, sizes):
+        # the sums written out through one _key per (representative, term of
+        # V), times the same factors: with no factor, the write-out alone
+        groups = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(2**n + 5)]
+        width, coeffs = series._v_times_numerator(groups, n, sizes)
+        expected = []
+        for m, anti in enumerate(spherical._alternant_sums(groups, n)):
+            out = {}
+            for e, c in anti.terms.items():
+                for w, sign in spherical._vandermonde_terms(n):
+                    x = _key((m, *(e[i] for i in w)), width)
+                    for pe, f in c.terms.items():
+                        out[x + pe] = sign * f
+            expected.append(out)
+        subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
+        series._factor_loop(expected, subsets, n + 1, width)
+        assert coeffs == expected
 
     # the head certificate: for n = 1, V = 1, so each head coefficient is its
     # own quotient, symmetric in x1 alone, and there is nothing to certify.

@@ -1,12 +1,13 @@
 """Unit tests for the spherical maps and the coset-enumeration oracle."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, product
+from operator import add, lshift
 
 import pytest
 
 from heckeseries import spherical, verify
-from heckeseries.algebra import PrimeLaurent, XPoly, p
+from heckeseries.algebra import PrimeLaurent, XPoly, _key, _width, p
 from heckeseries.errors import (
     EnumerationTooLarge,
     IndexOutOfRange,
@@ -16,8 +17,14 @@ from heckeseries.golden import golden_decomposition, golden_order
 from heckeseries.spherical import (
     COSET_CANDIDATE_BOUND,
     PRIME_BOUND,
+    _alternant_sums,
     _compositions,
     _coset_buckets,
+    _deformed_product,
+    _gap_entry,
+    _multiplicity_class,
+    _multiplicity_norm,
+    _sort_sign,
     _valuation_table,
     coset_count,
     omega_cosets,
@@ -150,6 +157,74 @@ class TestOmegaClosedForm:
         omega_hl.__wrapped__((120, 60, 0), 3)
         assert len(read) == len(set(read)) == 1861
         assert {sum(sig) for sig in read} == {180}
+
+
+def gap_signatures(n):
+    """The signatures of length n with last part 0 or 1 whose adjacent gaps
+    lie in 0..n + 2: the cap n of ``_gap_entry`` and the gaps on each side."""
+    return [
+        tuple(accumulate(reversed(gaps), initial=last))[::-1]
+        for gaps in product(range(n + 3), repeat=n - 1)
+        for last in (0, 1)
+    ]
+
+
+def ref_alternant_sum(lam, n, pshift):
+    """p^pshift Antisym(x^lam D) / v_lam(1/p) at its strictly decreasing
+    exponents: each term of x^lam D moved to its sorted exponent with the sign
+    of the sort, then each coefficient divided by the norm."""
+    acc = {}
+    for e, c in _deformed_product(n).terms.items():
+        beta = tuple(map(add, lam, e[1:]))
+        if len(set(beta)) == n:
+            key = tuple(sorted(beta, reverse=True))
+            acc[key] = acc.get(key, 0) + c * _sort_sign(beta)
+    scale = PrimeLaurent.p_power(pshift)
+    return XPoly(n, {key: (c * scale).div_exact(_multiplicity_norm(lam)) for key, c in acc.items() if c})
+
+
+class TestAlternantSums:
+    @pytest.mark.parametrize("pshift", [0, -4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gap_entry_sorts_and_signs_every_term(self, n, pshift):
+        # the entry for lambda's gaps, capped at n, against sorting lambda + gamma
+        # term by term: the same packed keys and signed coefficients
+        sigs = gap_signatures(n)
+        width = _width(max(lam[0] for lam in sigs) + n - 1, n * (n - 1) + abs(pshift))
+        for lam in sigs:
+            cls, perms = _gap_entry(tuple(min(a - b, n) for a, b in zip(lam, lam[1:])), n, width, pshift)
+            assert cls == _multiplicity_class(lam)
+            got = sorted((k + sum(map(lshift, lam, shifts)), c) for shifts, terms in perms for k, c in terms.items())
+            expected = sorted(
+                (_key(sorted(beta, reverse=True), width, pshift + pe), _sort_sign(beta) * f)
+                for e, c in _deformed_product(n).terms.items()
+                if _sort_sign(beta := tuple(map(add, lam, e[1:])))
+                for pe, f in c.terms.items()
+            )
+            assert got == expected, lam
+
+    @pytest.mark.parametrize(
+        "lam, norm",
+        [
+            ((5, 3, 0), PrimeLaurent({0: 1})),
+            ((4, 4, 1), PrimeLaurent({0: 1, -1: 1})),
+            ((2, 2, 2), PrimeLaurent({0: 1, -1: 1}) * PrimeLaurent({0: 1, -1: 1, -2: 1})),
+        ],
+        ids=["distinct", "one-pair", "all-equal"],
+    )
+    @pytest.mark.parametrize("pshift", [0, -7])
+    def test_each_norm_against_the_reference(self, lam, norm, pshift):
+        assert _multiplicity_norm(lam) == norm
+        (got,) = _alternant_sums([[lam]], 3, pshift)
+        assert got == ref_alternant_sum(lam, 3, pshift)
+
+    def test_a_group_of_every_norm(self):
+        group = [(5, 3, 0), (4, 4, 1), (2, 2, 2), (3, 3, 3), (6, 2, 2)]
+        (got,) = _alternant_sums([group], 3, 2)
+        expected = XPoly(3)
+        for lam in group:
+            expected = expected + ref_alternant_sum(lam, 3, 2)
+        assert got == expected
 
 
 class TestOmegaPi:
