@@ -273,8 +273,7 @@ def _run_command(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         lines.append(_render_series(r_series(args.genus, args.order), fmt))
 
     elif args.command == "numerator":
-        order = max(2**args.genus + 4, DEFAULT_ORDER)
-        lines.append(_render_series(p_numerator(args.genus, order), fmt))
+        lines.append(_render_series(p_numerator(args.genus, DEFAULT_ORDER), fmt))
 
     elif args.command == "theorem1":
         coeffs = p3_in_generators()

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import lshift
+from operator import index, lshift
 
 from .algebra import (
     PL_ZERO,
     PrimeLaurent,
     VSeries,
     XPoly,
+    _add_into,
     _bounds,
     _div_packed,
     _key,
     _laurent,
+    _pack,
     _unpack,
     _width,
 )
@@ -40,7 +42,9 @@ from .errors import (
 from .spherical import (
     _alternant_sums,
     _compositions,
+    _deformed_product,
     _div_vandermonde,
+    _multiplicity_norm,
     _vandermonde_terms,
     sp_image_pbracket,
     sp_image_Ti,
@@ -50,10 +54,10 @@ from .symmetric import _dominant_product, _orbit_sums, signatures, to_msym, x0_w
 
 #: default truncation order for the genus-3 series work
 DEFAULT_ORDER = 12
-#: hard bound on the truncation order of r_series, p_numerator and p3_closed_form; at
-#: this order r_series(3, N) takes 0.15-0.26 s, p_numerator(3, N), which does not
-#: call it, 0.06-0.12 s with its tail check, and p3_closed_form(N) 0.014-0.025 s
-#: (2-vCPU Xeon, Python 3.11.7, cold)
+#: hard bound on the truncation order of r_series and p3_closed_form, and on the
+#: order p_numerator accepts, whose value and cost do not depend on it; at this
+#: order r_series(3, N) takes 0.13-0.16 s, p3_closed_form(N) 0.014-0.023 s and
+#: p_numerator(3, N) 0.006-0.011 s, as at order 12 (2-vCPU Xeon, Python 3.11.7, cold)
 SERIES_ORDER_BOUND = 20
 #: hard bound on the x0-weight of express_in_generators; its generator basis,
 #: built once per weight from the cached decompositions of lower weights, takes
@@ -205,38 +209,86 @@ def q_poly(n: int) -> VSeries:
     return VSeries(2**n, [_unpack(c, nv, width) for c in coeffs])
 
 
+def _antisymmetrize(terms, n: int, width: int, x0: int) -> dict:
+    """Packed x0 sum_w sgn(w) w(A), w permuting x1..xn, for the terms (e, c)
+    of A in x1..xn: each e_i shifted by width * (w^-1(i) + 2), shifts built
+    once per call, summed onto x0's field, with the p-terms added times
+    sgn(w).  Zeros may remain where terms cancel."""
+    vterms = [([width * (w.index(i) + 2) for i in range(n)], sign) for w, sign in _vandermonde_terms(n)]
+    out: dict = {}
+    get = out.get
+    for e, c in terms:
+        items = c.terms.items()
+        for shifts, sign in vterms:
+            # the fields are disjoint: their sum is their OR
+            x = sum(map(lshift, e, shifts), x0)
+            for pe, f in items:
+                out[x + pe] = get(x + pe, 0) + sign * f
+    return out
+
+
 def _v_times_numerator(groups: list, n: int, sizes) -> tuple[int, list[dict]]:
     """The field width and the packed coefficients v^0..v^N, one per group, of
     V sum_m x0^m A_m v^m times (1 - x0 x_S v) over the subsets S of {1..n}
     with |S| in sizes: A_m the alternant sum of group m (``_alternant_sums``)
     and V the Vandermonde in x1..xn.  No coefficient holds a zero.  The width
     fits x0^N and the sums' degrees plus one per factor holding x1 (or any x_i).
-    A_m is written out once per term sgn(w) x^w(delta) of V, e in place of
-    delta: e_i shifted by width * (w^-1(i) + 2), shifts built once per call,
-    ORed into x0^m's field, with the p-terms copied, or negated if sgn(w) = -1."""
+    A_m is antisymmetric, so it is written out once per term sgn(w) x^w(delta)
+    of V, e in place of delta (``_antisymmetrize``), and no two terms meet."""
     subsets = [s for size in sizes for s in combinations(range(1, n + 1), size)]
     sums = _alternant_sums(groups, n)
     xdeg, pabs = _bounds(sums)
     width = _width(max(len(groups) - 1, xdeg + sum(1 in s for s in subsets)), pabs)
-    vterms = [([width * (w.index(i) + 2) for i in range(n)], sign) for w, sign in _vandermonde_terms(n)]
-    coeffs = []
-    for m, anti in enumerate(sums):
-        out = {}
-        x0 = m << width
-        for e, c in anti.terms.items():
-            items = c.terms.items()
-            for shifts, sign in vterms:
-                # the fields are disjoint: their sum is their OR
-                x = sum(map(lshift, e, shifts), x0)
-                if sign > 0:
-                    for pe, f in items:
-                        out[x + pe] = f
-                else:
-                    for pe, f in items:
-                        out[x + pe] = -f
-        coeffs.append(out)
+    coeffs = [_antisymmetrize(anti.terms.items(), n, width, m << width) for m, anti in enumerate(sums)]
     _factor_loop(coeffs, subsets, n + 1, width)
     return width, coeffs
+
+
+def _numerator_classes(n: int) -> list:
+    """The classes of P_n's sum over signatures lambda, one per set P of the
+    gaps lambda_k - lambda_(k+1), k < n, that are positive, as the triples:
+    the norm v_lambda(1/p), the exponent of y^P = prod_(k in P) y_k with
+    y_k = x0 v x1...xk, and the subsets S of the class's factors
+    (1 - x0 x_S v).  Writing lambda = sum_k a_k (1^k, 0^(n-k)), the class
+    sums y^P / prod_(k in P and n) (1 - y_k), and each 1 - y_k is the factor
+    of S = {1..k}, cancelled: the factors are the other nonempty S.  The
+    norm and y^P are read at the class's least signature, a_k = 1 on P."""
+    subsets = [s for size in range(1, n + 1) for s in combinations(range(1, n + 1), size)]
+    classes = []
+    for size in range(n):
+        for gaps in combinations(range(1, n), size):
+            lam = tuple(sum(k >= i for k in gaps) for i in range(1, n + 1))
+            chain = [tuple(range(1, k + 1)) for k in (*gaps, n)]
+            # y^P = (x0 v)^lambda_1 x^lambda
+            classes.append((_multiplicity_norm(lam).terms, (lam[0],) + lam, [s for s in subsets if s not in chain]))
+    return classes
+
+
+def _v_times_p(n: int) -> tuple[int, list[dict]]:
+    """The field width and the packed coefficients v^0.. of V P_n, V the
+    Vandermonde in x1..xn, summed over the classes (``_numerator_classes``):
+    V P_n = sum_P Antisym(D y^P prod (1 - x0 x_S v)) / v_P(1/p), D the
+    deformed product.  v-degree is x0-degree.  Each class's list is sized from
+    its own degree, |P| + its factor count + 1, so the factor loop truncates
+    nothing.  Each coefficient is antisymmetrized and divided by the class
+    norm, which ``_div_packed`` certifies; the class of distinct parts, of
+    norm 1, is added as it is."""
+    classes = _numerator_classes(n)
+    # x-degrees: D's n - 1, then one per factor and per y_k; p-range: D's and a norm's, n(n - 1)/2 each
+    width = _width(n - 1 + max(y[0] + len(factors) for _, y, factors in classes), n * (n - 1))
+    d = _pack(_deformed_product(n), width)
+    total: list[dict] = []
+    for norm, y, factors in classes:
+        coeffs = [{} for _ in range(y[0] + len(factors) + 1)]
+        shift = _key(y, width)
+        coeffs[y[0]] = {key + shift: c for key, c in d.items()}
+        _factor_loop(coeffs, factors, n + 1, width)
+        total += [{} for _ in range(len(coeffs) - len(total))]
+        for k, coeff in enumerate(coeffs):
+            terms = ((e[1:], c) for e, c in _unpack(coeff, n + 1, width).terms.items())
+            anti = _antisymmetrize(terms, n, width, k << width)
+            _add_into(total[k], anti if norm == {0: 1} else _div_packed(anti, norm, n + 1, width))
+    return width, total
 
 
 def _div_v(packed: dict, k: int, n: int, width: int) -> XPoly:
@@ -251,30 +303,32 @@ def _div_v(packed: dict, k: int, n: int, width: int) -> XPoly:
 
 @lru_cache(maxsize=None)
 def p_numerator(n: int, N: int) -> VSeries:
-    """Numerator polynomial P_n = R_n Q_n, with the vanishing tail checked.
+    """Numerator polynomial P_n = R_n Q_n, as a finite identity.
 
-    Works on the alternant sums A_m of ``spherical._alternant_sums``, the
-    signatures grouped by top part m.  The factor (1 - x0 v) of Q_n undoes
-    r_series's running sum over m, so V R_n Q_n is sum_m x0^m A_m v^m times
-    the 2^n - 1 other factors (1 - x0 x_S v), V the Vandermonde.  V is not a
-    zero divisor, so a coefficient of V P_n vanishes exactly when that of
-    P_n does, and each factor keeps V P_n antisymmetric.  Asserts that
-    coefficients v^(2^n - 1) .. v^N vanish.  Each of v^0 .. v^(2^n - 2) is
-    divided whole by V with the kernel's exact division, which raises
-    NotDivisible unless the quotient is exact, and the quotient must be
-    symmetric in x1..xn (``to_msym`` raises NotSymmetric otherwise).
-    Returns the degree-(2^n - 2) polynomial part.
+    R_n sums Antisym(x^lambda D) / (V v_lambda(1/p)) (x0 v)^lambda_1 / (1 - x0 v)
+    over the signatures lambda (``r_series``).  Split by which gaps of lambda
+    are positive, each class is a product of geometric series in the
+    y_k = x0 v x1...xk, and each 1 - y_k, like 1 - x0 v, cancels a factor of
+    Q_n, which is symmetric and passes through Antisym (``_v_times_p``).  So
+    V P_n is a polynomial of v-degree 2^n - 2, at every order, by its degree
+    count; a coefficient past v^(2^n - 2) raises NonVanishingTail.  V is not
+    a zero divisor.  Each of v^0 .. v^(2^n - 2) is divided whole by V with
+    the kernel's exact division, which raises NotDivisible unless the
+    quotient is exact, and the quotient must be symmetric in x1..xn
+    (``to_msym`` raises NotSymmetric otherwise).  Returns the
+    degree-(2^n - 2) polynomial part; its value does not depend on N, which
+    is checked against the margin and the bound of the truncated routes.
     """
     if not 1 <= n <= 3:
         raise ValueError("genus 1..3 only")
     if N < 2**n + 4:
         raise ValueError(f"need N >= {2**n + 4} for a meaningful vanishing margin")
     _check_size("series order", N, SERIES_ORDER_BOUND)
+    index(N)  # TypeError unless the order is an integer, as on the truncated routes
     top = 2**n - 2
-    by_top = [[(m,) + rest for rest in signatures(m, n - 1)] for m in range(N + 1)]
-    width, coeffs = _v_times_numerator(by_top, n, range(1, n + 1))
-    for k in range(top + 1, N + 1):
-        if coeffs[k]:
+    width, coeffs = _v_times_p(n)
+    for k in range(top + 1, len(coeffs)):
+        if any(coeffs[k].values()):
             raise NonVanishingTail(
                 f"coefficient of v^{k} is nonzero: V times it is {_unpack(coeffs[k], n + 1, width)}"
             )

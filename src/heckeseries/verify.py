@@ -110,8 +110,9 @@ def _expected_p3() -> VSeries:
 
 
 def check_numerator_identity():
-    """R_3 Q_3, formed on the alternant sums (``p_numerator``), has a vanishing
-    tail and matches the frozen expansion; the closed form agrees."""
+    """P_3 by the finite class identity (``p_numerator``), whose V P_3 holds
+    nothing past v^6, matches the frozen expansion; the closed form, truncated
+    at v^12 on the alternant sums, agrees, and its v^7..v^12 vanish."""
     num = p_numerator(3, DEFAULT_ORDER)  # raises NonVanishingTail on failure
     if num != _expected_p3():
         return False, "numerator differs from the published polynomial"

@@ -15,6 +15,10 @@ powers.  ``ref_r_series`` sums the generating series chain by chain, one
 plain ``VSeries`` products of binomials, and ``ref_numerator_product`` is
 the product ``p_numerator`` formed before it used them: ``r_series`` times
 the expanded denominator, zero-padded to the series order.
+``ref_class_sum`` is the finite identity ``p_numerator`` now computes, in
+plain ``XPoly`` arithmetic: per class of signatures, products of binomials,
+a signed sum of permuted exponents, and ``div_exact`` by the class norm and
+by the Vandermonde.
 ``ref_to_msym`` decomposes into the monomial basis as ``to_msym`` did before
 it read the basis: it subtracts each lead's coefficient from every term of
 the lead's orbit in a remainder.  ``ref_omega_hl`` antisymmetrizes over every
@@ -29,6 +33,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import prod
 
 import pytest
 
@@ -36,6 +41,7 @@ from heckeseries.algebra import PL_ZERO, PrimeLaurent, VSeries, XPoly, _bounds, 
 from heckeseries.errors import NotDivisible, NotSymmetric, VarMismatch
 from heckeseries.series import (
     P_BRACKET,
+    SERIES_ORDER_BOUND,
     T_P,
     HeckeExpr,
     _factor_loop,
@@ -294,6 +300,42 @@ def ref_numerator_product(n, N):
     """r_series(n, N) times the expanded denominator zero-padded to order N."""
     q = ref_times_factors(VSeries.one(2**n, n + 1), range(n + 1))
     return r_series(n, N) * VSeries(N, q.coeffs + [XPoly(n + 1)] * (N - q.order))
+
+
+def ref_class_sum(n):
+    """P_n by the class sum, in x0..xn with v carried by x0 (v-degree is
+    x0-degree): for each set P of positive gaps lambda_k - lambda_(k+1),
+    k < n, D times y_k = x0 x1...xk for k in P times (1 - x0 x_S) for every
+    nonempty S but {1..k}, k in P and n, antisymmetrized over x1..xn and
+    divided by the norm of lambda = sum over P of (1^k, 0^(n-k)); the sum
+    divided by the Vandermonde."""
+    nv = n + 1
+    x = [XPoly.variable(nv, i) for i in range(nv)]
+    one = XPoly.constant(nv, 1)
+    pairs = list(combinations(range(1, nv), 2))
+    d = prod((x[i] - x[j] * PrimeLaurent.p_power(-1) for i, j in pairs), start=one)
+    vdm = prod((x[i] - x[j] for i, j in pairs), start=one)
+    total = XPoly(nv)
+    for size in range(n):
+        for gaps in combinations(range(1, n), size):
+            chain = [tuple(range(1, k + 1)) for k in gaps + (n,)]
+            f = prod((prod(x[: k + 1]) for k in gaps), start=d)
+            for s in (s for size in range(1, nv) for s in combinations(range(1, nv), size)):
+                if s not in chain:
+                    f = f * (one - x[0] * prod((x[i] for i in s), start=one))
+            anti = XPoly(nv)
+            for w in permutations(range(1, nv)):
+                anti = anti + permute(f, (0,) + w) * _sgn(w)
+            lam = [sum(k >= i for k in gaps) for i in range(1, nv)]
+            norm = PrimeLaurent({0: 1})
+            for m in {part: lam.count(part) for part in lam}.values():
+                for j in range(1, m + 1):
+                    norm = norm * PrimeLaurent({-i: 1 for i in range(j)})
+            total = total + anti.div_exact(XPoly.constant(nv, norm))
+    quot = total.div_exact(vdm)
+    top = 2**n - 2
+    assert all(e[0] <= top for e in quot.terms)
+    return VSeries(top, [XPoly(nv, {e: c for e, c in quot.terms.items() if e[0] == k}) for k in range(top + 1)])
 
 
 def as_hecke(a):
@@ -808,6 +850,20 @@ def test_numerator_product_matches_padded_product(n, N):
     assert num == prod.truncate(2**n - 2)
     for c in num.coeffs:
         assert_canonical(c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p_numerator_matches_the_class_sum(n):
+    num = p_numerator(n, 2**n + 4)
+    assert num == ref_class_sum(n)
+    for c in num.coeffs:
+        assert_canonical(c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p_numerator_does_not_depend_on_the_order(n):
+    # the identity is finite: the order is only checked, never read
+    assert p_numerator.__wrapped__(n, 2**n + 4) == p_numerator.__wrapped__(n, SERIES_ORDER_BOUND)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

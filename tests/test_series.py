@@ -153,6 +153,9 @@ class TestPNumerator:
             p_numerator(3, 11)
         with pytest.raises(EnumerationTooLarge):
             p_numerator(3, SERIES_ORDER_BOUND + 1)
+        # the order is never read, but it must still be an integer
+        with pytest.raises(TypeError, match="integer"):
+            p_numerator(3, 12.5)
 
     @pytest.mark.parametrize("n, N", [(-1, 4), (0, 12), (40, 20)])
     def test_genus_checked_before_the_margin(self, n, N):
@@ -171,18 +174,21 @@ class TestPNumerator:
     @pytest.mark.parametrize("n, N", [(1, 8), (2, 10), (3, 12)])
     @pytest.mark.parametrize("at_end", [False, True])
     def test_tail_term_raises(self, monkeypatch, n, N, at_end):
-        # one more alternant term, x0^delta V, at delta = 2^n - 1 or N: the
-        # first nonzero coefficient of V P_n is v^delta
-        delta = N if at_end else 2**n - 1
-        real = series._alternant_sums
+        # one factor more, the (1 - x0 v) the identity cancels, in the first
+        # class (all parts equal, divided by the largest norm) or the last
+        # (distinct parts, not divided).  It is symmetric, so the norm still
+        # divides, and the first nonzero coefficient of V P_n is v^(2^n - 1)
+        real = series._numerator_classes
+        at = -1 if at_end else 0
 
-        def with_extra_term(groups, genus, pshift=0):
-            sums = real(groups, genus, pshift)
-            sums[delta] = sums[delta] + XPoly.monomial(genus, tuple(range(genus - 1, -1, -1)))
-            return sums
+        def with_extra_factor(genus):
+            classes = real(genus)
+            norm, y, factors = classes[at]
+            classes[at] = (norm, y, factors + [()])
+            return classes
 
-        monkeypatch.setattr(series, "_alternant_sums", with_extra_term)
-        with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{delta} is nonzero"):
+        monkeypatch.setattr(series, "_numerator_classes", with_extra_factor)
+        with pytest.raises(NonVanishingTail, match=rf"^coefficient of v\^{2**n - 1} is nonzero"):
             p_numerator.__wrapped__(n, N)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -221,24 +227,27 @@ class TestPNumerator:
     # own quotient, symmetric in x1 alone, and there is nothing to certify.
     # The closed form divides its zero tail by V as well, up to k = N.
     @pytest.mark.parametrize(
-        "route, n, N, k",
+        "route, seam, n, N, k",
         [
-            pytest.param(partial(p_numerator.__wrapped__, n), n, N, 2**n - 2 if last else 0, id=f"{last}-{n}-{N}")
+            pytest.param(
+                partial(p_numerator.__wrapped__, n), "_v_times_p", n, N, 2**n - 2 if last else 0, id=f"{last}-{n}-{N}"
+            )
             for last in (False, True)
             for n, N in [(2, 10), (3, 12)]
         ]
-        + [pytest.param(p3_closed_form, 3, 12, k, id=f"closed-form-{k}") for k in (0, 6, 12)],
+        + [pytest.param(p3_closed_form, "_v_times_numerator", 3, 12, k, id=f"closed-form-{k}") for k in (0, 6, 12)],
     )
-    def test_head_not_divisible_raises(self, monkeypatch, route, n, N, k):
+    def test_head_not_divisible_raises(self, monkeypatch, route, seam, n, N, k):
         # x0^k added to coefficient k of V times the numerator: no multiple of V
-        real = series._factor_loop
+        real = getattr(series, seam)
 
-        def with_constant(coeffs, subsets, nv, width):
-            real(coeffs, subsets, nv, width)
+        def with_constant(*args):
+            width, coeffs = real(*args)
             key = _key((k,) + (0,) * n, width)
             coeffs[k][key] = coeffs[k].get(key, 0) + 1
+            return width, coeffs
 
-        monkeypatch.setattr(series, "_factor_loop", with_constant)
+        monkeypatch.setattr(series, seam, with_constant)
         with pytest.raises(NotDivisible, match=rf"^coefficient of v\^{k} "):
             route(N)
 
@@ -247,14 +256,15 @@ class TestPNumerator:
     def test_head_not_symmetric_raises(self, monkeypatch, n, N, last):
         # x0^k V P_k times x1 is V times x0^k P_k x1, which is not symmetric
         k = 2**n - 2 if last else 0
-        real = series._factor_loop
+        real = series._v_times_p
 
-        def times_x1(coeffs, subsets, nv, width):
-            real(coeffs, subsets, nv, width)
+        def times_x1(genus):
+            width, coeffs = real(genus)
             shift = _key((0, 1) + (0,) * (n - 1), width)
             coeffs[k] = {key + shift: c for key, c in coeffs[k].items()}
+            return width, coeffs
 
-        monkeypatch.setattr(series, "_factor_loop", times_x1)
+        monkeypatch.setattr(series, "_v_times_p", times_x1)
         with pytest.raises(NotSymmetric):
             p_numerator.__wrapped__(n, N)
 
