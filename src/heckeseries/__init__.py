@@ -11,7 +11,6 @@ from .series import (
     T2_P2,
     T_P,
     express_in_generators,
-    functional_eq_check,
     hecke_image,
     p3_closed_form,
     p3_in_generators,

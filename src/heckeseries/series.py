@@ -128,13 +128,6 @@ def hecke_image(e: HeckeExpr) -> XPoly:
     return e.substitute({i: _generator_image_power(i) for i in range(4)})
 
 
-def image_mismatch(exprs, expanded: VSeries):
-    """The first k where the image of exprs[k] differs from the v^k coefficient, else None."""
-    return next(
-        (k for k, e in enumerate(exprs) if hecke_image(e) != expanded.coeffs[k]), None
-    )
-
-
 # -- series ----------------------------------------------------------
 
 
@@ -473,16 +466,16 @@ def express_in_generators(target: XPoly, x0_wt: int) -> HeckeExpr:
 
 
 @lru_cache(maxsize=None)
-def p3_in_generators() -> list[HeckeExpr]:
+def p3_in_generators() -> tuple[HeckeExpr, ...]:
     """Coefficients (v^0..v^6) of the genus-3 numerator over the Hecke ring.
 
-    Asserts the v^1 and v^5 coefficients vanish and that the leading term
-    is p^15 [p]_3^3.
+    Each is certified by the substitution check of ``express_in_generators``.
+    Raises NonVanishingTail unless the v^1 and v^5 coefficients vanish and
+    FunctionalEquationViolated unless the leading term is p^15 [p]_3^3.  A
+    tuple, so the cached value cannot be changed in place.
     """
     num = p_numerator(3, DEFAULT_ORDER)
-    coeffs = [
-        express_in_generators(num.coeffs[k], k) for k in range(num.order + 1)
-    ]
+    coeffs = tuple(express_in_generators(num.coeffs[k], k) for k in range(num.order + 1))
     if not coeffs[1].is_zero() or not coeffs[5].is_zero():
         raise NonVanishingTail("numerator has unexpected v^1 or v^5 terms")
     expected_lead = HeckeExpr({(0, 0, 0, 3): PrimeLaurent.p_power(15)})
@@ -533,9 +526,11 @@ def q3_in_generators() -> QCoefficients:
     """Reconstruct the denominator coefficients t_0..t_8 over the Hecke ring.
 
     t_2..t_4 come from the indeterminate-coefficient solve against the
-    expanded denominator; t_5..t_8 from the functional equation
-    t_{8-i} = (p^6 [p]_3)^(4-i) t_i; every t_j is verified against the
-    corresponding expanded coefficient.
+    expanded denominator, which certifies them by substitution; t_5..t_8
+    from the functional equation t_{8-i} = (p^6 [p]_3)^(4-i) t_i.  So the
+    equation holds by construction, and its certificate is the image check
+    of t_5..t_8, with t_0 and t_1, against the expanded coefficients, which
+    raises FunctionalEquationViolated at the first mismatch.
     """
     q = q_poly(3)
     t = [HeckeExpr.const(1), -T_P]
@@ -544,18 +539,12 @@ def q3_in_generators() -> QCoefficients:
     scale = P_BRACKET * PrimeLaurent.p_power(6)
     for k in (5, 6, 7, 8):
         t.append(scale ** (k - 4) * t[8 - k])
-    for k in range(9):
+    for k in (0, 1, 5, 6, 7, 8):
         if hecke_image(t[k]) != q.coeffs[k]:
             raise FunctionalEquationViolated(
                 f"t_{k} does not reproduce the v^{k} coefficient of the denominator"
             )
     return QCoefficients(tuple(t))
-
-
-def functional_eq_check(q: QCoefficients) -> bool:
-    """True iff t_{8-i} = (p^6 [p]_3)^(4-i) t_i holds as a ring identity for all i."""
-    scale = P_BRACKET * PrimeLaurent.p_power(6)
-    return all(q.t[8 - i] == scale ** (4 - i) * q.t[i] for i in range(5))
 
 
 def specialize_nu(s: VSeries) -> VSeries:

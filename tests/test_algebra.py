@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly, p
+from heckeseries.render import laurent_text
 from heckeseries.series import HeckeExpr
 from heckeseries.spherical import omega_hl
 from heckeseries.errors import (
@@ -57,6 +58,11 @@ class TestPrimeLaurent:
     def test_unsupported_operand_raises_type_error(self):
         with pytest.raises(TypeError):
             "1" - p
+
+    def test_zero_and_foreign_operands(self):
+        assert repr(PrimeLaurent()) == "0"
+        assert laurent_text(PrimeLaurent()) == "0"
+        assert (p == "p") is False
 
     def test_div_exact_by_non_scalar_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -240,6 +246,16 @@ class TestXPoly:
         nu = {0: 1, 1: p, 2: p**2, 3: p**3}
         assert a.substitute(nu) == XPoly.constant(4, PrimeLaurent.p_power(6))
 
+    def test_substitute_values_in_different_rings_raise(self):
+        x = XPoly.variable(2, 0) * XPoly.variable(2, 1)
+        with pytest.raises(VarMismatch, match="different rings"):
+            x.substitute({0: XPoly.variable(3, 0), 1: XPoly.variable(2, 1)})
+
+    def test_zero_repr_and_division_by_zero(self):
+        assert repr(XPoly(2)) == "0"
+        with pytest.raises(DivisionByZero):
+            XPoly.variable(2, 0).div_exact(XPoly(2))
+
     def test_substitute_unassigned_raises(self):
         a = XPoly.monomial(3, (0, 1, 1))
         with pytest.raises(UnassignedVariable):
@@ -295,6 +311,23 @@ class TestVSeries:
         assert s.recip() == VSeries.from_dict(
             3, nv, {k: XPoly.monomial(nv, (k, 0)) for k in range(4)}
         )
+
+    def test_guards(self):
+        one2, one3 = XPoly.constant(2, 1), XPoly.constant(3, 1)
+        with pytest.raises(ValueError, match="expected 3 coefficients, got 1"):
+            VSeries(2, [one2])
+        with pytest.raises(VarMismatch, match="mixed nvars"):
+            VSeries(1, [one2, one3])
+        with pytest.raises(VarMismatch, match="different nvars"):
+            VSeries.one(2, 2) * VSeries.one(2, 3)
+
+    def test_truncate_past_the_order_is_the_series(self):
+        s = VSeries.one(3, 2)
+        assert s.truncate(3) is s and s.truncate(5) is s
+
+    def test_repr_and_foreign_equality(self):
+        assert repr(VSeries.one(1, 2)) == "v^0: 1\nv^1: 0"
+        assert (VSeries.one(0, 2) == 1) is False
 
     def test_recip_of_one(self):
         assert VSeries.one(5, 3).recip() == VSeries.one(5, 3)

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from heckeseries import cli, verify
-from heckeseries.algebra import XPoly
+from heckeseries import cli, series, verify
+from heckeseries.algebra import VSeries, XPoly
 from heckeseries.cli import LAMBDA_PART_BOUND, OMEGA_OUTPUT_BOUND, _specialized_size, run
 from heckeseries.errors import NonVanishingTail
-from heckeseries.series import SERIES_ORDER_BOUND
-from heckeseries.spherical import omega_hl
+from heckeseries.series import SERIES_ORDER_BOUND, p_numerator
+from heckeseries.spherical import omega_hl, sp_image_Tp
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +42,11 @@ def invoke(capsys, argv):
 
 def raise_tail():
     raise NonVanishingTail("coefficient of v^7 is nonzero")
+
+
+def p3_with_v1_term(n, N):
+    """p_numerator, with the image of T(p) added to P_3's v^1 coefficient."""
+    return p_numerator(n, N) + VSeries.from_dict(6, 4, {1: sp_image_Tp(3)})
 
 
 class TestOmegaCommand:
@@ -109,7 +114,7 @@ class TestOmegaCommand:
         assert "--prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "extra", [["--prime", "4", "--oracle"], ["--prime", "1", "--oracle"], ["--prime", "-3"]]
+        "extra", [["--prime", "4", "--oracle"], ["--prime", "1", "--oracle"], ["--prime", "-3"], ["--prime", "three"]]
     )
     def test_non_prime_rejected(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -300,20 +305,26 @@ class TestPlumbing:
         assert captured.err == "heckeseries: error: coefficient of v^7 is nonzero\n"
 
     @pytest.mark.parametrize(
-        "argv, last_line",
+        "argv, name, corrupted, out, err",
         [
-            (["theorem1"], "verified against the expanded numerator: NO"),
-            (["theorem2"], "verified against the expanded denominator: NO"),
-            (["verify-all"], "[FAIL] stub check"),
+            # a P_3 with a v^1 term fails p3_in_generators' guard
+            (["theorem1"], "p_numerator", p3_with_v1_term, "",
+             "heckeseries: error: numerator has unexpected v^1 or v^5 terms\n"),
+            # a wrong scale in the functional equation fails q3_in_generators' image check at t_5
+            (["theorem2"], "P_BRACKET", series.P_BRACKET * 2, "",
+             "heckeseries: error: t_5 does not reproduce the v^5 coefficient of the denominator\n"),
+            (["verify-all"], None, None, "[FAIL] stub check\n", ""),
         ],
+        ids=["theorem1", "theorem2", "argv2-[FAIL] stub check"],
     )
-    def test_failed_verification_prints_then_exits_1(self, argv, last_line, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "image_mismatch", lambda exprs, expanded: 0)
+    @pytest.mark.usefixtures("fresh_theorem_caches")
+    def test_failed_verification_prints_then_exits_1(self, argv, name, corrupted, out, err, capsys, monkeypatch):
+        if name is not None:
+            monkeypatch.setattr(series, name, corrupted)
         # cli imports run_all from verify when verify-all runs
         monkeypatch.setattr(verify, "run_all", lambda report: report("[FAIL] stub check") or False)
-        code, out = invoke(capsys, argv)
-        assert code == 1
-        assert out.endswith(last_line + "\n")
+        assert run(argv) == 1
+        assert capsys.readouterr() == (out, err)
 
     @pytest.mark.parametrize(
         "second, status, detail",

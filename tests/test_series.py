@@ -33,7 +33,6 @@ from heckeseries.series import (
     _generator_image_power,
     _solve_fraction_free,
     express_in_generators,
-    functional_eq_check,
     generator_monomials,
     hecke_image,
     p3_closed_form,
@@ -103,6 +102,10 @@ class TestQPoly:
 
     def test_genus3_top_coefficient(self):
         assert q_poly(3).coeffs[8] == XPoly.monomial(4, (8, 4, 4, 4))
+
+    def test_bad_genus(self):
+        with pytest.raises(ValueError, match="genus 1..3 only"):
+            q_poly(4)
 
     def test_genus3_v1_coefficient(self):
         # minus the sum of the eight subset monomials, i.e. -Omega(T(p)) shape
@@ -528,6 +531,13 @@ class TestTheorems:
             {(0, 0, 0, 3): PrimeLaurent.p_power(15)}
         )
 
+    def test_numerator_coefficients_are_immutable(self):
+        coeffs = p3_in_generators()
+        assert type(coeffs) is tuple
+        with pytest.raises(TypeError):
+            coeffs[6] = coeffs[0]
+        assert p3_in_generators()[6] == HeckeExpr({(0, 0, 0, 3): PrimeLaurent.p_power(15)})
+
     def test_numerator_missing_terms(self):
         coeffs = p3_in_generators()
         assert coeffs[1].is_zero() and coeffs[5].is_zero()
@@ -547,7 +557,11 @@ class TestTheorems:
         assert qc.t[7] == -PrimeLaurent.p_power(18) * P_BRACKET**3 * T_P
 
     def test_functional_equation(self):
-        assert functional_eq_check(q3_in_generators())
+        # t_{8-i} = (p^6 [p]_3)^(4-i) t_i as a ring identity
+        t = q3_in_generators().t
+        scale = PrimeLaurent.p_power(6) * P_BRACKET
+        for i in range(5):
+            assert t[8 - i] == scale ** (4 - i) * t[i], i
 
     def test_all_images_match_expanded_denominator(self):
         qc = q3_in_generators()
@@ -575,6 +589,10 @@ class TestTheorems:
 class TestSpecialization:
     def test_of_one(self):
         assert specialize_nu(VSeries.one(3, 4)) == VSeries.one(3, 4)
+
+    def test_other_genus_refused(self):
+        with pytest.raises(ValueError, match="nvars = 4"):
+            specialize_nu(VSeries.one(3, 3))
 
     def test_numerator_specialization(self):
         spec = specialize_nu(p_numerator(3, DEFAULT_ORDER))

@@ -434,6 +434,11 @@ class TestCosetBuckets:
 
 
 class TestSymplecticImages:
+    @pytest.mark.parametrize("image", [sp_image_Tp, sp_image_pbracket])
+    def test_genus_zero_refused(self, image):
+        with pytest.raises(IndexOutOfRange, match="n >= 1"):
+            image(0)
+
     def test_tp_images(self):
         x = lambda nv, i: XPoly.variable(nv, i)
         assert sp_image_Tp(1) == x(2, 0) * (1 + x(2, 1))

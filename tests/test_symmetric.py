@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from heckeseries.algebra import PrimeLaurent, VSeries, XPoly
-from heckeseries.errors import LengthMismatch, NotSymmetric
+from heckeseries.errors import IndexOutOfRange, LengthMismatch, NotSymmetric
 from heckeseries.symmetric import (
     elem,
     from_msym,
@@ -82,6 +82,11 @@ class TestElem:
 
     def test_elem3(self):
         assert elem(3, 3) == XPoly.monomial(4, (0, 1, 1, 1))
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_index_outside_0_to_n_refused(self, i):
+        with pytest.raises(IndexOutOfRange):
+            elem(i, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generating_function(self, n):
