@@ -689,14 +689,20 @@ class XPoly(_Ring):
 
 
 class VSeries:
-    """Power series in v, truncated at a fixed order, with XPoly coefficients."""
+    """Power series in v, truncated at a fixed order, with XPoly coefficients.
+
+    Immutable: the coefficients are a tuple and no attribute can be assigned,
+    so a cached series cannot be changed in place.  The coefficients' own
+    ``terms`` dicts, like those of every XPoly and PrimeLaurent, are shared,
+    not copied, and must not be mutated.
+    """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[XPoly]):
         if order < 0:
             raise ValueError(f"series order must be >= 0, got {order}")
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
         for c in coeffs:
@@ -704,8 +710,11 @@ class VSeries:
                 raise TypeError(f"series coefficient {c!r} is not an XPoly")
             if c.nvars != coeffs[0].nvars:
                 raise VarMismatch("mixed nvars in series coefficients")
-        self.order = order
-        self.coeffs = coeffs
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of VSeries")
 
     @staticmethod
     def from_dict(order: int, nvars: int, entries: Mapping[int, XPoly]) -> "VSeries":

@@ -52,36 +52,35 @@ OMEGA_OUTPUT_BOUND = 10**6
 SERIES_JSON_ORDER_BOUND = {1: SERIES_ORDER_BOUND, 2: SERIES_ORDER_BOUND, 3: 14}
 
 
-def _parse_lambda(text: str, n: int = 3):
+def _parse_lambda(text: str):
     try:
         parts = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda {text!r}; expected e.g. 2,1,0")
-    if len(parts) != n or any(v < 0 for v in parts):
-        raise argparse.ArgumentTypeError(f"lambda needs {n} non-negative parts")
+    if len(parts) != 3 or any(v < 0 for v in parts):
+        raise argparse.ArgumentTypeError("lambda needs 3 non-negative parts")
     if max(parts) > LAMBDA_PART_BOUND:
         raise argparse.ArgumentTypeError(f"lambda parts must be at most {LAMBDA_PART_BOUND}")
     # omega depends only on the multiset; accept any order
     return tuple(sorted(parts, reverse=True))
 
 
-def _parse_order(text: str) -> int:
+def _parse_bounded(what: str, text: str, lo: int, hi: int) -> int:
     try:
-        order = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order {text!r}; expected an integer")
-    if not 0 <= order <= SERIES_ORDER_BOUND:
-        raise argparse.ArgumentTypeError(f"order must be between 0 and {SERIES_ORDER_BOUND}")
-    return order
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}; expected an integer")
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(f"{what} must be between {lo} and {hi}")
+    return value
+
+
+def _parse_order(text: str) -> int:
+    return _parse_bounded("order", text, 0, SERIES_ORDER_BOUND)
 
 
 def _parse_prime(text: str) -> int:
-    try:
-        prime = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad prime {text!r}; expected an integer")
-    if not 2 <= prime <= PRIME_BOUND:
-        raise argparse.ArgumentTypeError(f"prime must be between 2 and {PRIME_BOUND}")
+    prime = _parse_bounded("prime", text, 2, PRIME_BOUND)
     if not _is_prime(prime):
         raise argparse.ArgumentTypeError(f"{prime} is not prime")
     return prime

@@ -83,10 +83,6 @@ class HeckeExpr(XPoly):
         super().__init__(4, terms)
 
     @staticmethod
-    def generator(index: int) -> "HeckeExpr":
-        return HeckeExpr.variable(4, index)
-
-    @staticmethod
     def const(value) -> "HeckeExpr":
         return HeckeExpr.constant(4, value)
 
@@ -106,10 +102,10 @@ class HeckeExpr(XPoly):
         )
 
 
-T_P = HeckeExpr.generator(0)
-T1_P2 = HeckeExpr.generator(1)
-T2_P2 = HeckeExpr.generator(2)
-P_BRACKET = HeckeExpr.generator(3)
+T_P = HeckeExpr.variable(4, 0)
+T1_P2 = HeckeExpr.variable(4, 1)
+T2_P2 = HeckeExpr.variable(4, 2)
+P_BRACKET = HeckeExpr.variable(4, 3)
 
 
 # keeps its name: the benchmark's self-tests clear this cache by it
@@ -525,21 +521,18 @@ class QCoefficients:
 def q3_in_generators() -> QCoefficients:
     """Reconstruct the denominator coefficients t_0..t_8 over the Hecke ring.
 
-    t_2..t_4 come from the indeterminate-coefficient solve against the
+    t_0..t_4 come from the indeterminate-coefficient solve against the
     expanded denominator, which certifies them by substitution; t_5..t_8
     from the functional equation t_{8-i} = (p^6 [p]_3)^(4-i) t_i.  So the
     equation holds by construction, and its certificate is the image check
-    of t_5..t_8, with t_0 and t_1, against the expanded coefficients, which
-    raises FunctionalEquationViolated at the first mismatch.
+    of t_5..t_8, which no solve certified, against the expanded
+    coefficients; it raises FunctionalEquationViolated at the first mismatch.
     """
     q = q_poly(3)
-    t = [HeckeExpr.const(1), -T_P]
-    for k in (2, 3, 4):
-        t.append(express_in_generators(q.coeffs[k], k))
+    t = [express_in_generators(q.coeffs[k], k) for k in range(5)]
     scale = P_BRACKET * PrimeLaurent.p_power(6)
     for k in (5, 6, 7, 8):
         t.append(scale ** (k - 4) * t[8 - k])
-    for k in (0, 1, 5, 6, 7, 8):
         if hecke_image(t[k]) != q.coeffs[k]:
             raise FunctionalEquationViolated(
                 f"t_{k} does not reproduce the v^{k} coefficient of the denominator"

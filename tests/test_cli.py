@@ -236,6 +236,16 @@ class TestGoldenOutput:
         reference = (REFERENCE_DIR if genus3_text else GOLDEN_DIR) / path.name
         assert path.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.usefixtures("fresh_theorem_caches")
+    def test_cached_numerator_cannot_be_changed(self, capsys):
+        num = p_numerator(3, series.DEFAULT_ORDER)
+        with pytest.raises(TypeError):
+            num.coeffs[2] = num.coeffs[2] * 2
+        with pytest.raises(AttributeError):
+            num.coeffs = num.coeffs[:2] + (num.coeffs[2] * 2,) + num.coeffs[3:]
+        assert run(["theorem1"]) == 0
+        assert capsys.readouterr().out == (REFERENCE_DIR / "theorem1.text").read_text()
+
 
 class TestOtherCommands:
     def test_table_has_28_rows(self, capsys):
@@ -288,6 +298,31 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             run(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["series", "--order", "many"], "heckeseries series: error: argument --order: bad order 'many'; expected an integer"),
+            (["series", "--order", "-1"], "heckeseries series: error: argument --order: order must be between 0 and 20"),
+            (["series", "--order", "21"], "heckeseries series: error: argument --order: order must be between 0 and 20"),
+            (["omega", "--lambda", "1,0,0", "--prime", "two"], "heckeseries omega: error: argument --prime: bad prime 'two'; expected an integer"),
+            (["omega", "--lambda", "1,0,0", "--prime", "1"], "heckeseries omega: error: argument --prime: prime must be between 2 and 1000000"),
+            (["omega", "--lambda", "1,0,0", "--prime", "1000001"], "heckeseries omega: error: argument --prime: prime must be between 2 and 1000000"),
+            (["omega", "--lambda", "1,0,0", "--prime", "4"], "heckeseries omega: error: argument --prime: 4 is not prime"),
+            (["omega", "--lambda", "2;1;0"], "heckeseries omega: error: argument --lambda: bad lambda '2;1;0'; expected e.g. 2,1,0"),
+            (["omega", "--lambda", "2,1"], "heckeseries omega: error: argument --lambda: lambda needs 3 non-negative parts"),
+            (["omega", "--lambda", "2,-1,0"], "heckeseries omega: error: argument --lambda: lambda needs 3 non-negative parts"),
+            (["omega", "--lambda", "121,0,0"], "heckeseries omega: error: argument --lambda: lambda parts must be at most 120"),
+        ],
+    )
+    def test_argument_refused(self, argv, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: heckeseries ")
+        assert err.splitlines()[-1] == line
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         code = run(["--out", str(tmp_path / "missing" / "x"), "images"])
@@ -351,6 +386,15 @@ class TestPlumbing:
         monkeypatch.setattr(sys, "argv", ["heckeseries", "--help"])
         with pytest.raises(SystemExit) as exc:
             runpy.run_module("heckeseries", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heckeseries")
+
+    def test_python_m_runs_the_cli_module(self, capsys, monkeypatch):
+        # runpy warns when the module it runs as __main__ is imported already
+        monkeypatch.delitem(sys.modules, "heckeseries.cli")
+        monkeypatch.setattr(sys, "argv", ["heckeseries.cli", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("heckeseries.cli", run_name="__main__")
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: heckeseries")
 

@@ -299,7 +299,7 @@ def ref_times_factors(s, sizes):
 def ref_numerator_product(n, N):
     """r_series(n, N) times the expanded denominator zero-padded to order N."""
     q = ref_times_factors(VSeries.one(2**n, n + 1), range(n + 1))
-    return r_series(n, N) * VSeries(N, q.coeffs + [XPoly(n + 1)] * (N - q.order))
+    return r_series(n, N) * VSeries(N, q.coeffs + (XPoly(n + 1),) * (N - q.order))
 
 
 def ref_class_sum(n):

@@ -170,7 +170,7 @@ class TestPNumerator:
     def test_matches_r_series_route(self, n, N):
         # R_n times Q_n zero-padded to order N: its tail is empty and its head
         # is the numerator the alternant sums give
-        prod = r_series(n, N) * VSeries(N, q_poly(n).coeffs + [XPoly(n + 1)] * (N - 2**n))
+        prod = r_series(n, N) * VSeries(N, q_poly(n).coeffs + (XPoly(n + 1),) * (N - 2**n))
         assert all(c.is_zero() for c in prod.coeffs[2**n - 1 :])
         assert p_numerator(n, N) == prod.truncate(2**n - 2)
 

@@ -95,7 +95,7 @@ class TestElem:
         gen = VSeries.one(n, nv)
         for i in range(1, nv):
             gen = gen * VSeries.from_dict(n, nv, {0: XPoly.constant(nv, 1), 1: XPoly.variable(nv, i)})
-        assert gen.coeffs == [elem(k, n) for k in range(n + 1)]
+        assert gen.coeffs == tuple(elem(k, n) for k in range(n + 1))
 
 
 class TestToMsym:

@@ -2,10 +2,9 @@
 
 Runs pytest on ``tests/`` in this process under a ``sys.settrace`` tracer
 that records the lines run in the package's files, then lists the
-executable lines that never ran.  Each unrun line is looked up in an
-allowlist of lines that cannot run by design (``linetrace_allow.txt`` beside
-this script), keyed by file name and stripped source text, so that the list
-survives edits that move lines.
+executable lines that never ran.  Any unrun line fails the gate: a line
+that no test can reach is dead code, and a line that only a subprocess
+reaches needs an in-process test.
 
 It gates on unrun lines only.  Pass and fail stay the test suite's job: the
 tracer slows the tests 4-5x, so a test with a time budget can fail under it
@@ -15,9 +14,8 @@ in a subprocess count as unrun.
 
     python tools/linetrace.py [pytest arguments]    # default: tests -q
 
-Exit status: 0 when every unrun line is allowlisted and every allowlist
-entry matches an unrun line; 1 otherwise; 2 when pytest could not run the
-tests (an internal or usage error, or no tests collected).
+Exit status: 0 when every executable line ran; 1 otherwise; 2 when pytest
+could not run the tests (an internal or usage error, or no tests collected).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "heckeseries"
-ALLOWLIST = Path(__file__).resolve().parent / "linetrace_allow.txt"
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -42,17 +39,6 @@ def executable_lines(path: Path) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
-
-
-def read_allowlist(path: Path) -> set[tuple[str, str]]:
-    """(file name, stripped source line) of each entry: lines "name.py: source",
-    with blank lines and lines starting with # ignored."""
-    entries = set()
-    for line in path.read_text().splitlines():
-        if line.strip() and not line.startswith("#"):
-            name, _, text = line.partition(": ")
-            entries.add((name, text.strip()))
-    return entries
 
 
 def trace_tests(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
@@ -98,27 +84,18 @@ def main(argv: list[str]) -> int:
     if status not in (0, 1):
         print(f"linetrace: pytest exited {status}; the tests did not run", file=sys.stderr)
         return 2
-    allowed = read_allowlist(ALLOWLIST)
-    matched, unrun = set(), []
+    unrun = []
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         lines = executable_lines(path)
         total += len(lines)
-        for line in sorted(lines - hits[str(path)]):
-            key = (path.name, source[line - 1].strip())
-            if key in allowed:
-                matched.add(key)
-            unrun.append((key in allowed, f"{path.name}:{line}: {key[1]}"))
-    unexplained = [line for ok, line in unrun if not ok]
-    stale = sorted(f"{name}: {text}" for name, text in allowed - matched)
-    print(f"linetrace: {len(unrun)} of {total} executable lines never ran, {len(unrun) - len(unexplained)} of them allowlisted")
+        unrun += [f"{path.name}:{line}: {source[line - 1].strip()}" for line in sorted(lines - hits[str(path)])]
+    print(f"linetrace: {len(unrun)} of {total} executable lines never ran")
     print(f"linetrace: pytest exited {status} (not gated on)")
-    for ok, line in unrun:
-        print(f"unrun, {'allowlisted' if ok else 'not allowlisted'}: {line}")
-    for entry in stale:
-        print(f"allowlisted, but no unrun line matches: {entry}")
-    return 1 if unexplained or stale else 0
+    for line in unrun:
+        print(f"unrun: {line}")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":
